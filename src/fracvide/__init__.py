@@ -20,7 +20,6 @@ from .collocate import (
     singular_ratio,
     solve,
     solve_block,
-    transform_kernel,
 )
 from .fracbasis import (
     FractionalBasis,

@@ -165,8 +165,9 @@ def build_parser():
         p.add_argument("--beta", type=float, default=-0.5,
                        help="collocation Jacobi exponent beta (default -0.5)")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--quad-points", type=int, default=200,
-                       help="points for the error-norm quadrature (default 200)")
+        p.add_argument("--quad-points", type=int, default=None,
+                       help="points for the error-norm quadrature "
+                            "(default max(200, 4(N+1)))")
         p.add_argument("--gamma-override", type=float, default=None,
                        help="override the ex1 exponent gamma (default 1)")
 

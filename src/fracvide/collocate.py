@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracbasis import basis_matrix, build_basis, interpolate
+# basis_matrix is unused here but stays bound: profilers wrap the basis
+# functions at each module that binds them
+from .fracbasis import basis_matrix, basis_quadrature, build_basis, interpolate  # noqa: F401
 from .problem import kernel_samples
 from .specfun import frac_gauss_jacobi
 
@@ -37,18 +39,6 @@ def singular_ratio(xi, lam, mu):
     if lam == 1.0:
         return np.ones_like(xi)
     return np.exp(-mu * (np.log1p(-(xi ** (1.0 / lam))) - np.log1p(-xi)))
-
-
-def transform_kernel(kbar, lam, mu):
-    """Kernel of the fixed-interval form of a singular integral.
-
-    Given kbar(theta, eta), returns ktil(theta_i, xi)
-    = (1/lam) * singular_ratio(xi) * kbar(theta_i, theta_i * xi**(1/lam)).
-    """
-    def ktil(theta_i, xi):
-        return singular_ratio(xi, lam, mu) / lam * kbar(theta_i, theta_i * np.asarray(xi) ** (1.0 / lam))
-
-    return ktil
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,36 +86,42 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
     # rules in the xi variable: weights (1-xi)^a xi^b with the scheme exponents
     kernel_rule = frac_gauss_jacobi(m, -mu, (mu + gam) / lam - 1.0, 1.0)
     anti_rule = frac_gauss_jacobi(m, 0.0, 1.0 / lam - 1.0, 1.0)
-
     xi, w = kernel_rule.nodes, kernel_rule.weights
     xih, wh = anti_rule.nodes, anti_rule.weights
     s = xi ** (1.0 / lam) if lam != 1.0 else xi            # eta_i(xi) = theta_i * s
     sh = xih ** (1.0 / lam) if lam != 1.0 else xih
     ratio = singular_ratio(xi, lam, mu)
 
-    size = n + 1
-    C = np.empty((size, size))
-    D = np.empty((size, size))
-    E = np.empty((size, size))
-    H = np.empty((size, size))
-    for i, ti in enumerate(theta):
-        eta = ti * s
-        k1 = kernel_samples(tp.kbar1, ti, eta) * ratio / lam
-        k2 = kernel_samples(tp.kbar2, ti, eps * eta) * ratio / lam
-        C[i] = (w * k1) @ basis_matrix(basis, eta)
-        D[i] = (w * k2) @ basis_matrix(basis, eps * eta)
-        eta_h = ti * sh
-        E[i] = (ti / lam) * (wh @ basis_matrix(basis, eta_h))
-        H[i] = (eps * ti / lam) * (wh @ basis_matrix(basis, eps * eta_h))
-
-    P = np.array([tp.p1(t) for t in theta], dtype=float)
-    Q = np.array([tp.q1(t) for t in theta], dtype=float)
-    G = np.array([tp.g1(t) for t in theta], dtype=float)
-    U0 = np.full(size, float(tp.y0))
+    col = theta[:, None]
+    eta = col * s
+    # a sample that overflows or divides by zero is reported by _finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        P = _finite("p", np.array([tp.p1(t) for t in theta], dtype=float), theta)
+        Q = _finite("q", np.array([tp.q1(t) for t in theta], dtype=float), theta)
+        G = _finite("g", np.array([tp.g1(t) for t in theta], dtype=float), theta)
+        k1 = _finite("K1", kernel_samples(tp.kbar1, col, eta), theta) * ratio / lam
+        k2 = _finite("K2", kernel_samples(tp.kbar2, col, eps * eta), theta) * ratio / lam
+    C = basis_quadrature(basis, eta, w * k1)
+    D = basis_quadrature(basis, eps * eta, w * k2)
+    eta_h = col * sh
+    E = basis_quadrature(basis, eta_h, (col / lam) * wh)
+    H = basis_quadrature(basis, eps * eta_h, (eps * col / lam) * wh)
+    U0 = np.full(n + 1, float(tp.y0))
     return CollocationSystem(tp=tp, n=n, lam=float(lam), alpha_c=float(alpha_c),
                              beta_c=float(beta_c), basis=basis, P=P, Q=Q, G=G, U0=U0,
                              C=C, D=D, E=E, H=H,
                              kernel_rule=kernel_rule, anti_rule=anti_rule)
+
+
+def _finite(name, samples, theta):
+    """Return samples (one row per node theta_i) or raise ValueError naming
+    the coefficient and the first node where a sample is not finite."""
+    bad = ~np.isfinite(samples).reshape(len(theta), -1).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"coefficient {name} is not finite at collocation node {i} "
+                         f"(theta = {theta[i]:.17g})")
+    return samples
 
 
 @dataclass(frozen=True, eq=False)

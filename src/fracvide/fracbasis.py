@@ -7,6 +7,7 @@ exact at the nodes. Also provides the weighted L2 and grid sup norms used
 as error metrics.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from .specfun import frac_gauss_jacobi
 
 # relative threshold on |z - z_j| for snapping to the Kronecker value
 _NODE_HIT_RTOL = 1e-15
+# float64 entries in the work array of basis_quadrature (2 MB)
+_WORK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,18 +37,24 @@ class FractionalBasis:
         return len(self.nodes) - 1
 
 
+@functools.lru_cache(maxsize=64)
 def build_basis(n, alpha, beta, lam):
     """Basis of degree n on the zeros of the fractional Jacobi polynomial
-    of degree n+1 with parameters (alpha, beta, lam)."""
+    of degree n+1 with parameters (alpha, beta, lam).
+
+    Bases are memoised on the arguments and shared between callers, so
+    their arrays are read-only."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rule = frac_gauss_jacobi(n + 1, alpha, beta, lam)
-    z = rule.nodes ** lam if lam != 1.0 else rule.nodes.copy()
+    z = rule.nodes ** lam if lam != 1.0 else rule.nodes
     # scale differences by the inverse capacity of [0, 1] so the products
     # stay O(1) for large n (the second form is invariant to uniform scaling)
     diff = 4.0 * (z[:, None] - z[None, :])
     np.fill_diagonal(diff, 1.0)
     w = 1.0 / np.prod(diff, axis=1)
+    z.setflags(write=False)
+    w.setflags(write=False)
     return FractionalBasis(lam=float(lam), alpha=float(alpha), beta=float(beta),
                            nodes=rule.nodes, z_nodes=z, bary_weights=w)
 
@@ -58,31 +67,110 @@ def basis_matrix(basis, thetas):
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     z = thetas ** basis.lam if basis.lam != 1.0 else thetas
     diff = z[:, None] - basis.z_nodes[None, :]
-    hit = np.abs(diff) <= _NODE_HIT_RTOL * np.maximum(1.0, np.abs(basis.z_nodes))[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = basis.bary_weights[None, :] / diff
         out = terms / np.sum(terms, axis=1, keepdims=True)
-    rows = np.nonzero(np.any(hit, axis=1))[0]
-    for i in rows:
-        out[i] = 0.0
-        out[i, np.argmax(hit[i])] = 1.0
+    node = _node_hits(basis, z)
+    rows = np.nonzero(node >= 0)[0]
+    out[rows] = 0.0
+    out[rows, node[rows]] = 1.0
     return out
+
+
+def basis_quadrature(basis, points, weights):
+    """Weighted sums of the basis functions over rows of points.
+
+    points and weights have shape (rows, m); the result has shape
+    (rows, n+1) with entry [r, j] = sum_k weights[r, k] * F_j(points[r, k]).
+    The reciprocal differences 1/(z - z_j) are formed block by block in one
+    work array of at most 2 MB; the barycentric denominators are their
+    products with the barycentric weights, and each row is contracted with
+    matmul. A point on a node (as in basis_matrix) adds its weight to that
+    node's column alone.
+    """
+    points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if points.ndim != 2 or weights.shape != points.shape:
+        raise ValueError(f"points and weights must be 2-d of one shape, got "
+                         f"{points.shape} and {weights.shape}")
+    rows, m = points.shape
+    size = basis.n + 1
+    z = points ** basis.lam if basis.lam != 1.0 else points
+    node = _node_hits(basis, z)
+    # z - z_j as the rank-2 product [z, 1] . [1, -z_j]: both products are
+    # exact, so each entry is the one rounding of the subtraction, and
+    # matmul writes the block several times faster than a broadcast subtract
+    z1 = np.stack([z, np.ones_like(z)], axis=-1)
+    minus_nodes = np.stack([np.ones(size), -basis.z_nodes])
+    # blocks of whole rows when a row fits the work array, else parts of a row
+    k_block = min(m, max(1, _WORK_ENTRIES // size))
+    r_block = min(rows, max(1, _WORK_ENTRIES // (m * size))) if k_block == m else 1
+    work = np.empty(r_block * k_block * size)
+    out = np.zeros((rows, size))
+    for r0 in range(0, rows, r_block):
+        r1 = min(rows, r0 + r_block)
+        for k0 in range(0, m, k_block):
+            k1 = min(m, k0 + k_block)
+            recip = work[:(r1 - r0) * (k1 - k0) * size].reshape(r1 - r0, k1 - k0, size)
+            np.matmul(z1[r0:r1, k0:k1], minus_nodes, out=recip)
+            hit = node[r0:r1, k0:k1] >= 0
+            recip[hit] = 1.0            # a point on a node gets no reciprocals
+            np.divide(1.0, recip, out=recip)
+            recip[hit] = 0.0
+            denom = recip @ basis.bary_weights
+            denom[hit] = 1.0
+            coef = weights[r0:r1, k0:k1] / denom
+            out[r0:r1] += np.matmul(coef[:, None, :], recip)[:, 0, :]
+    out *= basis.bary_weights
+    r, k = np.nonzero(node >= 0)
+    np.add.at(out, (r, node[r, k]), weights[r, k])
+    return out
+
+
+def _node_hits(basis, z):
+    """Index of the node each z lies on (within _NODE_HIT_RTOL), else -1."""
+    zn = basis.z_nodes
+    above = np.minimum(np.searchsorted(zn, z), len(zn) - 1)
+    below = np.maximum(above - 1, 0)
+    tol = _NODE_HIT_RTOL * np.maximum(1.0, np.abs(zn))
+    node = np.where(np.abs(z - zn[above]) <= tol[above], above, -1)
+    return np.where(np.abs(z - zn[below]) <= tol[below], below, node)
+
+
+def _basis_row(basis, theta):
+    """All basis functions at one point, with basis_matrix's arithmetic."""
+    z = np.power(theta, basis.lam) if basis.lam != 1.0 else theta
+    diff = z - basis.z_nodes
+    j = np.abs(diff).argmin()
+    if abs(diff[j]) <= _NODE_HIT_RTOL * max(1.0, abs(basis.z_nodes[j])):
+        row = np.zeros(len(diff))
+        row[j] = 1.0
+        return row
+    terms = basis.bary_weights / diff
+    return terms / terms.sum()
 
 
 def eval_basis(basis, j, theta):
     """Value of the j-th basis function at theta (Kronecker on the nodes)."""
     if not 0 <= j <= basis.n:
         raise IndexError(f"basis index {j} out of range 0..{basis.n}")
+    if np.ndim(theta) == 0:
+        return float(_basis_row(basis, float(theta))[j])
     return float(basis_matrix(basis, theta)[0, j])
 
 
 def interpolate(basis, values, theta):
-    """Evaluate sum_j values[j] * F_j(theta); scalar in, scalar out."""
+    """Evaluate sum_j values[j] * F_j(theta); scalar in, scalar out.
+
+    Each point's sum is formed on its own, so a point gives the same value
+    bit for bit whether it is passed alone or in an array.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (basis.n + 1,):
         raise ValueError(f"expected {basis.n + 1} nodal values, got shape {values.shape}")
-    out = basis_matrix(basis, theta) @ values
-    return float(out[0]) if np.isscalar(theta) or np.ndim(theta) == 0 else out
+    if np.ndim(theta) == 0:
+        return float((_basis_row(basis, float(theta)) * values).sum())
+    return np.sum(basis_matrix(basis, theta) * values, axis=1)
 
 
 def lebesgue_constant(basis, grid_size):

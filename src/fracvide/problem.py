@@ -105,7 +105,11 @@ def transform(spec):
 
 
 def kernel_samples(K, t, pts):
-    """Evaluate K(t, .) on an array, vectorizing when supported."""
+    """Evaluate K(t, s) for s in pts, vectorizing when supported.
+
+    t is a scalar or an array that broadcasts against pts (a column of
+    nodes for a matrix of points); the result has the shape of pts.
+    """
     pts = np.asarray(pts, dtype=float)
     try:
         out = np.asarray(K(t, pts), dtype=float)
@@ -113,7 +117,8 @@ def kernel_samples(K, t, pts):
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([float(K(t, s)) for s in pts])
+    tt = np.broadcast_to(t, pts.shape)
+    return np.array([float(K(a, b)) for a, b in zip(tt.flat, pts.flat)]).reshape(pts.shape)
 
 
 def manufactured_g(spec, n_quad=200):

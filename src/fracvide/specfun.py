@@ -10,6 +10,7 @@ for the weight
 which reduces to (1-theta)**alpha * theta**beta when lam = 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,12 +130,16 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+@functools.lru_cache(maxsize=128)
 def frac_gauss_jacobi(n_points, alpha, beta, lam):
     """Gauss rule on [0, 1] for lam*(1-theta^lam)^alpha * theta^((beta+1)*lam-1).
 
     Obtained from the classical rule by theta_j = ((t_j+1)/2)**(1/lam) and
     w_j -> 2**-(alpha+beta+1) * w_j; lam = 1 gives the affinely mapped
     classical rule for (1-theta)^alpha * theta^beta.
+
+    Rules are memoised on the arguments and shared between callers, so their
+    nodes and weights are read-only arrays.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
@@ -142,5 +147,7 @@ def frac_gauss_jacobi(n_points, alpha, beta, lam):
     z = 0.5 * (t + 1.0)
     nodes = z if lam == 1.0 else z ** (1.0 / lam)
     weights = w * 2.0 ** -(alpha + beta + 1)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return QuadratureRule(alpha=float(alpha), beta=float(beta), lam=float(lam),
                           n_points=int(n_points), nodes=nodes, weights=weights)

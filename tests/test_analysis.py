@@ -226,3 +226,12 @@ def test_emit_table_bad_arguments():
 
 def test_sweep_filename():
     assert sweep_filename(_toy_result()) == "toy_0.5_sweep.csv"
+
+
+def test_default_error_rule_grows_with_n():
+    # a fixed 200-point rule read L2_estar here as 1.36e-5; a 3200-point rule gives 1.84e-4
+    tp = transform(builtin("ex1"))
+    rep = error_report(solve(assemble(tp, 192, 1.0)), tp.phi, tp.phi_prime)
+    assert 1.84e-4 / 1.5 <= rep.l2_estar <= 1.84e-4 * 1.5
+    assert analysis.default_quad_points(49) == 200
+    assert analysis.default_quad_points(192) == 772

@@ -11,11 +11,12 @@ from fracvide.collocate import (
     singular_ratio,
     solve,
     solve_block,
-    transform_kernel,
 )
 from fracvide.fracbasis import eval_basis
 from fracvide.problem import TransformedProblem, builtin, transform
 from fracvide.specfun import beta
+import fracvide.fracbasis as fracbasis
+from oracle_assembly import assemble_rowwise, transform_kernel
 from twin_classical import classical_solve
 
 
@@ -301,3 +302,48 @@ def test_boundary_parameters_same_machinery(mu, eps):
     grid = np.linspace(0.0, 1.0, 200)
     err = max(abs(tp.phi(float(t)) - sol.evaluate(float(t))) for t in grid)
     assert err <= 1e-10
+
+
+def _max_rel_diff(a, b):
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+
+
+def _assert_matches_rowwise(tp, n, lam, quad_points=None):
+    system = assemble(tp, n, lam, quad_points=quad_points)
+    C, D, E, H = assemble_rowwise(tp, n, lam, quad_points=quad_points)
+    for got, want in ((system.C, C), (system.D, D), (system.E, E), (system.H, H)):
+        assert _max_rel_diff(got, want) <= 1e-14
+    oracle = solve(dataclasses.replace(system, C=C, D=D, E=E, H=H))
+    assert _max_rel_diff(solve(system).u_star, oracle.u_star) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex5"])
+def test_blocked_assembly_matches_rowwise_oracle(name, lam):
+    # N = 64 and 200 leave the last block of rows partly filled
+    tp = transform(builtin(name))
+    for n in (0, 1, 8, 18, 64, 200):
+        _assert_matches_rowwise(tp, n, lam)
+
+
+@pytest.mark.parametrize("work_entries", [7, 100, 400])
+def test_blocked_assembly_split_rows_match_oracle(monkeypatch, work_entries):
+    # a work array smaller than one row splits the rows into parts
+    monkeypatch.setattr(fracbasis, "_WORK_ENTRIES", work_entries)
+    _assert_matches_rowwise(transform(builtin("ex2")), 18, 0.5)
+    _assert_matches_rowwise(transform(builtin("ex4")), 6, 1.0, quad_points=11)
+
+
+def test_assemble_rejects_underflowed_node():
+    # lam = 0.01 maps the smallest node to theta = 0, where p1 = T t^-1 p(t) is 0/0
+    with pytest.raises(ValueError, match=r"coefficient p is not finite at collocation node 0 \(theta = 0\)"):
+        assemble(transform(builtin("ex1")), 48, 0.01)
+
+
+def test_assemble_names_non_finite_kernel():
+    k1 = lambda theta, eta: np.where(theta > 0.5, np.nan, 1.0) + 0.0 * eta
+    tp = make_tp(k1=k1)
+    nodes = fracbasis.build_basis(6, -0.5, -0.5, 1.0).nodes
+    first = int(np.argmax(nodes > 0.5))
+    with pytest.raises(ValueError, match=rf"coefficient K1 is not finite at collocation node {first} "):
+        assemble(tp, 6, 1.0)

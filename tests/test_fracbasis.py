@@ -5,6 +5,7 @@ import pytest
 
 from fracvide.fracbasis import (
     basis_matrix,
+    basis_quadrature,
     build_basis,
     default_error_grid,
     eval_basis,
@@ -186,3 +187,55 @@ def test_default_error_grid_contains_nodes():
     grid = default_error_grid(b)
     assert np.all(np.isin(b.nodes, grid))
     assert grid[0] == 0.0 and grid[-1] == 1.0
+
+
+def test_basis_is_cached_and_read_only():
+    b = build_basis(9, -0.5, -0.5, 0.5)
+    assert build_basis(9, -0.5, -0.5, 0.5) is b
+    for arr in (b.nodes, b.z_nodes, b.bary_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
+def test_scalar_and_array_evaluation_agree_bitwise(lam):
+    b = build_basis(5, -0.5, -0.5, lam)
+    values = np.cos(3.0 * b.nodes) + b.nodes ** 0.5
+    grid = np.linspace(0.0, 1.0, 1000)
+    at_once = interpolate(b, values, grid)
+    one_by_one = np.array([interpolate(b, values, float(t)) for t in grid])
+    assert np.array_equal(at_once, one_by_one)
+    mat = basis_matrix(b, grid)
+    for j in range(b.n + 1):
+        assert np.array_equal(mat[:, j], [eval_basis(b, j, float(t)) for t in grid])
+    # on the nodes both paths give the nodal values exactly
+    assert np.array_equal(interpolate(b, values, b.nodes), values)
+    assert [interpolate(b, values, float(t)) for t in b.nodes] == values.tolist()
+
+
+def test_basis_quadrature_matches_basis_matrix():
+    b = build_basis(7, -0.5, -0.5, 0.5)
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0.0, 1.0, (4, 6))
+    weights = rng.normal(size=(4, 6))
+    want = np.stack([w @ basis_matrix(b, p) for p, w in zip(points, weights)])
+    assert np.max(np.abs(basis_quadrature(b, points, weights) - want)) <= 1e-14
+
+
+def test_basis_quadrature_node_hit_is_kronecker():
+    b = build_basis(6, -0.5, -0.5, 0.5)
+    got = basis_quadrature(b, b.nodes[[2]][:, None], np.ones((1, 1)))
+    assert np.array_equal(got[0], np.eye(7)[2])
+    # a node among other points adds its weight to its own column only
+    points = np.array([[0.3, b.nodes[4], 0.8]])
+    weights = np.array([[0.5, 2.0, -1.5]])
+    want = 0.5 * basis_matrix(b, 0.3)[0] + 2.0 * np.eye(7)[4] - 1.5 * basis_matrix(b, 0.8)[0]
+    assert np.max(np.abs(basis_quadrature(b, points, weights)[0] - want)) <= 1e-15
+
+
+def test_basis_quadrature_rejects_mismatched_shapes():
+    b = build_basis(3, -0.5, -0.5, 1.0)
+    with pytest.raises(ValueError):
+        basis_quadrature(b, np.full((2, 3), 0.5), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        basis_quadrature(b, np.full(3, 0.5), np.ones(3))

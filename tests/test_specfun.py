@@ -228,3 +228,11 @@ def test_frac_rule_is_dataclass_record():
     assert isinstance(rule, QuadratureRule)
     assert rule.n_points == 3 and rule.lam == 0.5
     assert len(rule.nodes) == len(rule.weights) == 3
+
+
+def test_frac_rule_is_cached_and_read_only():
+    rule = frac_gauss_jacobi(12, -0.5, 0.25, 0.5)
+    assert frac_gauss_jacobi(12, -0.5, 0.25, 0.5) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
