@@ -73,7 +73,7 @@ def run_solve(args):
         "u_star": sol.u_star.tolist(),
         "v": sol.v.tolist(),
         "t": t_samples.tolist(),
-        "y": [sol.to_physical(float(t)) for t in t_samples],
+        "y": sol.to_physical(t_samples).tolist(),
     }
     out = args.out or f"{payload['problem']}_{args.lam:g}_n{args.n}_solution.json"
     with open(out, "w", encoding="utf-8") as fh:

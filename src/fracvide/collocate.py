@@ -18,7 +18,8 @@ import numpy as np
 
 # basis_matrix is unused here but stays bound: profilers wrap the basis
 # functions at each module that binds them
-from .fracbasis import basis_matrix, basis_quadrature, build_basis, interpolate  # noqa: F401
+from .fracbasis import (basis_matrix, basis_quadrature, build_basis,  # noqa: F401
+                        interpolate, sample_values)
 from .problem import kernel_samples
 from .specfun import frac_gauss_jacobi
 
@@ -96,9 +97,9 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
     eta = col * s
     # a sample that overflows or divides by zero is reported by _finite
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        P = _finite("p", np.array([tp.p1(t) for t in theta], dtype=float), theta)
-        Q = _finite("q", np.array([tp.q1(t) for t in theta], dtype=float), theta)
-        G = _finite("g", np.array([tp.g1(t) for t in theta], dtype=float), theta)
+        P = _finite("p", sample_values(tp.p1, theta), theta)
+        Q = _finite("q", sample_values(tp.q1, theta), theta)
+        G = _finite("g", sample_values(tp.g1, theta), theta)
         k1 = _finite("K1", kernel_samples(tp.kbar1, col, eta), theta) * ratio / lam
         k2 = _finite("K2", kernel_samples(tp.kbar2, col, eps * eta), theta) * ratio / lam
     C = basis_quadrature(basis, eta, w * k1)

@@ -3,13 +3,17 @@
 Grammar (see docs/expression-grammar.md): numbers, named variables,
 unary minus, binary + - * / ^ with ^ right-associative, and the function
 calls exp, ln, sin, cos, sqrt, pow, beta, abs. Parsing is a Pratt
-(precedence-climbing) parser with positions preserved for error messages;
-evaluation is strict IEEE double arithmetic that raises on domain
-violations instead of returning NaN.
+(precedence-climbing) parser with positions preserved for error messages.
+An expression is compiled once to nested numpy closures that evaluate
+elementwise on scalars or arrays in strict IEEE double arithmetic, and
+raise on domain violations, naming the first value at fault, instead of
+returning NaN.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .specfun import beta as _beta_fn
 
@@ -203,82 +207,115 @@ def parse(source_or_tokens):
     return expr
 
 
+def _first(mask, *values):
+    """The values at the first position (C order) where mask holds, as floats."""
+    mask = np.asarray(mask)
+    index = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return tuple(float(np.broadcast_to(v, mask.shape)[index]) for v in values)
+
+
 def _checked(name, value):
-    if not math.isfinite(value):
+    if not np.all(np.isfinite(value)):
         raise ExprEvalError(f"{name} produced a non-finite result")
     return value
 
 
+def _fn_exp(x):
+    # exp overflows near 709.78; 709 keeps a margin, and NaN fails the test too
+    if not np.all(x < 709.0):
+        raise ExprEvalError("exp produced a non-finite result")
+    return np.exp(x)
+
+
 def _fn_ln(x):
-    if x <= 0.0:
-        raise ExprEvalError(f"ln of non-positive value {x}")
-    return math.log(x)
+    bad = x <= 0.0
+    if np.any(bad):
+        raise ExprEvalError(f"ln of non-positive value {_first(bad, x)[0]}")
+    return np.log(x)
 
 
 def _fn_sqrt(x):
-    if x < 0.0:
-        raise ExprEvalError(f"sqrt of negative value {x}")
-    return math.sqrt(x)
+    bad = x < 0.0
+    if np.any(bad):
+        raise ExprEvalError(f"sqrt of negative value {_first(bad, x)[0]}")
+    return np.sqrt(x)
 
 
 def _power(base, exponent):
-    if base < 0.0 and exponent != round(exponent):
-        raise ExprEvalError(f"negative base {base} with non-integer exponent {exponent}")
-    if base == 0.0 and exponent < 0.0:
+    bad = (base < 0.0) & (exponent != np.round(exponent))
+    if np.any(bad):
+        b, e = _first(bad, base, exponent)
+        raise ExprEvalError(f"negative base {b} with non-integer exponent {e}")
+    if np.any((base == 0.0) & (exponent < 0.0)):
         raise ExprEvalError("zero raised to a negative power")
-    return _checked("^", math.pow(base, exponent))
+    return _checked("^", np.power(base, exponent))
+
+
+# Beta has no numpy ufunc; this applies the scalar one elementwise
+_beta_elementwise = np.frompyfunc(_beta_fn, 2, 1)
 
 
 def _fn_beta(a, b):
-    if a <= 0.0 or b <= 0.0:
-        raise ExprEvalError(f"beta requires positive arguments, got ({a}, {b})")
-    return _beta_fn(a, b)
+    bad = (a <= 0.0) | (b <= 0.0)
+    if np.any(bad):
+        a0, b0 = _first(bad, a, b)
+        raise ExprEvalError(f"beta requires positive arguments, got ({a0}, {b0})")
+    return np.asarray(_beta_elementwise(a, b), dtype=float)
+
+
+def _divide(a, b):
+    if np.any(b == 0.0):
+        raise ExprEvalError("division by zero")
+    return _checked("/", np.divide(a, b))
 
 
 _FUNCTIONS = {
-    "exp": (1, lambda x: _checked("exp", math.exp(x) if x < 709.0 else math.inf)),
+    "exp": (1, _fn_exp),
     "ln": (1, _fn_ln),
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
     "sqrt": (1, _fn_sqrt),
-    "abs": (1, abs),
+    "abs": (1, np.abs),
     "pow": (2, _power),
     "beta": (2, _fn_beta),
 }
 
+_BINARY = {
+    "+": lambda a, b: _checked("+", np.add(a, b)),
+    "-": lambda a, b: _checked("-", np.subtract(a, b)),
+    "*": lambda a, b: _checked("*", np.multiply(a, b)),
+    "/": _divide,
+    "^": _power,
+}
 
-def evaluate(expr, bindings=None):
-    """Evaluate an Expr with the given variable bindings (pi and e built in)."""
-    env = dict(_CONSTANTS)
-    if bindings:
-        env.update(bindings)
-    return _eval(expr, env)
 
+def _compile(expr):
+    """Turn an Expr into a closure of the variable bindings.
 
-def _eval(expr, env):
+    Every operation is a numpy ufunc, so the closure evaluates elementwise on
+    scalars and arrays alike, and an element gets the same bits whether it
+    is bound alone or in an array. Domain checks test the whole array and
+    name the first value at fault.
+    """
     if isinstance(expr, Num):
-        return expr.value
+        value = expr.value
+        return lambda env: value
     if isinstance(expr, Var):
-        try:
-            return float(env[expr.name])
-        except KeyError:
-            raise ExprEvalError(f"unbound variable {expr.name!r}") from None
+        name = expr.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise ExprEvalError(f"unbound variable {name!r}") from None
+
+        return var
     if isinstance(expr, Neg):
-        return -_eval(expr.operand, env)
+        operand = _compile(expr.operand)
+        return lambda env: np.negative(operand(env))
     if isinstance(expr, BinOp):
-        a = _eval(expr.left, env)
-        b = _eval(expr.right, env)
-        if expr.op == "+":
-            return _checked("+", a + b)
-        if expr.op == "-":
-            return _checked("-", a - b)
-        if expr.op == "*":
-            return _checked("*", a * b)
-        if expr.op == "/":
-            if b == 0.0:
-                raise ExprEvalError("division by zero")
-            return _checked("/", a / b)
-        return _power(a, b)
+        op, left, right = _BINARY[expr.op], _compile(expr.left), _compile(expr.right)
+        return lambda env: op(left(env), right(env))
     if isinstance(expr, Call):
         try:
             arity, fn = _FUNCTIONS[expr.name]
@@ -286,8 +323,27 @@ def _eval(expr, env):
             raise ExprEvalError(f"unknown function {expr.name!r}") from None
         if len(expr.args) != arity:
             raise ExprEvalError(f"{expr.name} takes {arity} argument(s), got {len(expr.args)}")
-        return fn(*(_eval(a, env) for a in expr.args))
+        args = tuple(_compile(a) for a in expr.args)
+        return lambda env: fn(*[a(env) for a in args])
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _run(compiled, bindings):
+    """Evaluate a compiled closure with pi, e and the bindings, as float arrays."""
+    env = dict(_CONSTANTS)
+    env.update((name, np.asarray(value, dtype=float)) for name, value in bindings.items())
+    # overflow and invalid results are reported by the checks, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(compiled(env), dtype=float)
+
+
+def evaluate(expr, bindings=None):
+    """Evaluate an Expr with the given variable bindings (pi and e built in).
+
+    Bindings may be scalars or arrays; the result is a float when it is a
+    single value and an array otherwise."""
+    out = _run(_compile(expr), bindings or {})
+    return float(out) if out.ndim == 0 else out
 
 
 def to_source(expr):
@@ -319,20 +375,24 @@ def _print(expr, parent_bp):
 
 
 def compile_function(source, variables):
-    """Parse once and return a python function of the named variables.
+    """Parse and compile once; return f(*values, **extra).
 
-    Extra keyword bindings (problem constants) may be supplied at call
-    construction via functools-style closure: compile_function returns
-    f(*values, **extra).
+    The positional values bind the named variables and are broadcast
+    against each other; the keyword values bind further names (problem
+    constants). f evaluates elementwise: it returns a float when every
+    positional value is a scalar, and otherwise a new array of their
+    broadcast shape.
     """
-    expr = parse(source)
+    compiled = _compile(parse(source))
     names = tuple(variables)
 
     def fn(*values, **extra):
         if len(values) != len(names):
             raise TypeError(f"expected {len(names)} positional values for {names}")
-        env = dict(zip(names, (float(v) for v in values)))
-        env.update(extra)
-        return evaluate(expr, env)
+        bindings = dict(zip(names, values))
+        bindings.update(extra)
+        out = _run(compiled, bindings)
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+        return float(out) if not shape else np.array(np.broadcast_to(out, shape))
 
     return fn

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exprlang import ExprEvalError
 from .specfun import frac_gauss_jacobi
 
 # relative threshold on |z - z_j| for snapping to the Kronecker value
@@ -47,13 +48,14 @@ def build_basis(n, alpha, beta, lam):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rule = frac_gauss_jacobi(n + 1, alpha, beta, lam)
-    z = rule.nodes ** lam if lam != 1.0 else rule.nodes
+    # the lam = 1 rule's nodes are exactly z_j = theta_j**lam; the round trip
+    # (z**(1/lam))**lam underflows to 0 for small lam and merges nodes
+    z = frac_gauss_jacobi(n + 1, alpha, beta, 1.0).nodes
     # scale differences by the inverse capacity of [0, 1] so the products
     # stay O(1) for large n (the second form is invariant to uniform scaling)
     diff = 4.0 * (z[:, None] - z[None, :])
     np.fill_diagonal(diff, 1.0)
     w = 1.0 / np.prod(diff, axis=1)
-    z.setflags(write=False)
     w.setflags(write=False)
     return FractionalBasis(lam=float(lam), alpha=float(alpha), beta=float(beta),
                            nodes=rule.nodes, z_nodes=z, bary_weights=w)
@@ -181,17 +183,26 @@ def lebesgue_constant(basis, grid_size):
     return float(np.max(np.sum(np.abs(basis_matrix(basis, grid)), axis=1)))
 
 
-def sample_values(f, pts):
-    """Evaluate a scalar function on an array of points, vectorizing when the
-    callable supports it."""
-    pts = np.asarray(pts, dtype=float)
+def sample_values(f, *points):
+    """Evaluate f elementwise on the broadcast of the point arrays.
+
+    f is called once with the arrays. A callable that raises TypeError or
+    ValueError on arrays, or returns a value of another shape, is taken to
+    be scalar-only and is called once per point instead; a domain error of
+    a compiled expression is raised as it is.
+    """
+    points = [np.asarray(p, dtype=float) for p in points]
+    shape = np.broadcast_shapes(*(p.shape for p in points))
     try:
-        out = np.asarray(f(pts), dtype=float)
-        if out.shape == pts.shape:
+        out = np.asarray(f(*points), dtype=float)
+        if out.shape == shape:
             return out
+    except ExprEvalError:
+        raise
     except (TypeError, ValueError):
         pass
-    return np.array([float(f(p)) for p in pts])
+    flat = [np.broadcast_to(p, shape).flat for p in points]
+    return np.array([float(f(*values)) for values in zip(*flat)]).reshape(shape)
 
 
 def weighted_l2_norm(f, alpha, beta, lam, m_points=200):

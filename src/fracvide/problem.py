@@ -23,7 +23,12 @@ from .specfun import frac_gauss_jacobi
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One VIDE instance; coefficient functions are scalar callables."""
+    """One VIDE instance.
+
+    Coefficient functions take arrays and evaluate elementwise (the kernels
+    broadcast their two arguments). A scalar-only callable still works: it
+    is called once per point instead (fracbasis.sample_values).
+    """
 
     mu: float
     gamma: float
@@ -105,20 +110,12 @@ def transform(spec):
 
 
 def kernel_samples(K, t, pts):
-    """Evaluate K(t, s) for s in pts, vectorizing when supported.
+    """Evaluate K(t, s) for s in pts.
 
     t is a scalar or an array that broadcasts against pts (a column of
-    nodes for a matrix of points); the result has the shape of pts.
+    nodes for a matrix of points); the result has the broadcast shape.
     """
-    pts = np.asarray(pts, dtype=float)
-    try:
-        out = np.asarray(K(t, pts), dtype=float)
-        if out.shape == pts.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    tt = np.broadcast_to(t, pts.shape)
-    return np.array([float(K(a, b)) for a, b in zip(tt.flat, pts.flat)]).reshape(pts.shape)
+    return sample_values(K, t, pts)
 
 
 def manufactured_g(spec, n_quad=200):
@@ -127,7 +124,8 @@ def manufactured_g(spec, n_quad=200):
     Both weakly singular integrals are mapped to [0, 1] and evaluated with
     an n_quad-point Gauss-Jacobi rule whose weight matches the singular
     factors (alpha = -mu, beta = mu+gamma-1); the t^gamma prefactors cancel
-    analytically so no singular value is ever formed.
+    analytically so no singular value is ever formed. The returned g takes
+    a scalar or an array of t.
     """
     if spec.exact is None or spec.exact_prime is None:
         raise ValueError("manufactured forcing requires exact and exact_prime")
@@ -137,11 +135,16 @@ def manufactured_g(spec, n_quad=200):
     K1, K2, eps, gam = spec.K1, spec.K2, spec.eps, spec.gamma
 
     def g(t):
-        s = t * xi
-        tau = eps * t * xi
-        i1 = float(np.sum(w * kernel_samples(K1, t, s) * sample_values(y, s)))
-        i2 = float(np.sum(w * kernel_samples(K2, t, tau) * sample_values(y, tau)))
-        return t ** gam * (yp(t) - i1 - i2) - p(t) * y(t) - q(t) * y(eps * t)
+        t = np.asarray(t, dtype=float)
+        col = t[..., None]                  # one row of quadrature points per t
+        s = col * xi
+        tau = eps * col * xi
+        i1 = np.sum(w * kernel_samples(K1, col, s) * sample_values(y, s), axis=-1)
+        i2 = np.sum(w * kernel_samples(K2, col, tau) * sample_values(y, tau), axis=-1)
+        out = (t ** gam * (sample_values(yp, t) - i1 - i2)
+               - sample_values(p, t) * sample_values(y, t)
+               - sample_values(q, t) * sample_values(y, eps * t))
+        return float(out) if out.ndim == 0 else out
 
     return g
 
@@ -222,6 +225,10 @@ _FUNCTION_KEYS = {"p": ("t",), "q": ("t",), "g": ("t",),
                   "exact": ("t",), "exact_prime": ("t",)}
 
 
+def _zero_kernel(t, s):
+    return np.zeros(np.broadcast(t, s).shape)
+
+
 def parse_problem_config(text, name="config"):
     """Build a ProblemSpec from flat key = expression text.
 
@@ -277,7 +284,7 @@ def parse_problem_config(text, name="config"):
             raise ValueError(f"missing required key {key!r}")
         fns[key] = make_fn(key, _FUNCTION_KEYS[key])
     for key in ("K1", "K2"):
-        fns[key] = make_fn(key, _FUNCTION_KEYS[key]) if key in entries else (lambda t, s: 0.0)
+        fns[key] = make_fn(key, _FUNCTION_KEYS[key]) if key in entries else _zero_kernel
 
     has_exact = "exact" in entries
     if has_exact != ("exact_prime" in entries):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 def ln_gamma(x):
@@ -95,7 +94,8 @@ def gauss_jacobi(n_points, alpha, beta):
     matrix of recurrence coefficients (equivalently the zeros of
     J_n^(alpha,beta)); the weights come from the first components of the
     eigenvectors scaled by the zeroth moment. Exact for polynomials of degree
-    <= 2*n_points - 1.
+    <= 2*n_points - 1. The matrix is diagonalised densely by numpy's eigh; rules
+    are cached by frac_gauss_jacobi, so each is built once per process.
 
     Returns (nodes, weights) as ascending float arrays.
     """
@@ -108,7 +108,7 @@ def gauss_jacobi(n_points, alpha, beta):
     diag, off = _jacobi_recurrence(n_points, alpha, beta)
     if n_points == 1:
         return diag.copy(), np.array([mu0])
-    nodes, vecs = eigh_tridiagonal(diag, off)
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = mu0 * vecs[0, :] ** 2
     return nodes, weights
 
@@ -143,9 +143,15 @@ def frac_gauss_jacobi(n_points, alpha, beta, lam):
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
+    if lam != 1.0:
+        # map the cached lam = 1 rule, whose nodes are the z_j = (t_j+1)/2
+        classical = frac_gauss_jacobi(n_points, alpha, beta, 1.0)
+        nodes = classical.nodes ** (1.0 / lam)
+        nodes.setflags(write=False)
+        return QuadratureRule(alpha=float(alpha), beta=float(beta), lam=float(lam),
+                              n_points=int(n_points), nodes=nodes, weights=classical.weights)
     t, w = gauss_jacobi(n_points, alpha, beta)
-    z = 0.5 * (t + 1.0)
-    nodes = z if lam == 1.0 else z ** (1.0 / lam)
+    nodes = 0.5 * (t + 1.0)
     weights = w * 2.0 ** -(alpha + beta + 1)
     nodes.setflags(write=False)
     weights.setflags(write=False)

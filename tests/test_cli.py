@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
+
+import fracvide
 from fracvide.cli import main
+from fracvide.collocate import assemble, solve
+from fracvide.problem import builtin, transform
 
 CONFIG = """
 mu = 1/2
@@ -37,6 +45,25 @@ def test_solve_writes_solution_and_report(tmp_path, capsys):
     line = [l for l in stdout.splitlines() if l.startswith("n=12")][0]
     linf = float(line.split("Linf_e=")[1].split()[0])
     assert linf <= 1e-10
+
+
+def test_solve_samples_match_pointwise_evaluation(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    code, _, _ = run(["solve", "--problem", "ex2", "--n", "10", "--lambda", "0.5",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    payload = json.loads(out.read_text())
+    sol = solve(assemble(transform(builtin("ex2")), 10, 0.5))
+    assert payload["y"] == [sol.to_physical(float(t)) for t in np.linspace(0.0, 0.5, 201)]
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracvide.__file__)))
+    probe = "import sys, fracvide.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_solve_default_flags_are_explicit_defaults(tmp_path, capsys):

@@ -13,7 +13,8 @@ from fracvide.collocate import (
     solve_block,
 )
 from fracvide.fracbasis import eval_basis
-from fracvide.problem import TransformedProblem, builtin, transform
+from fracvide import exprlang
+from fracvide.problem import TransformedProblem, builtin, parse_problem_config, transform
 from fracvide.specfun import beta
 import fracvide.fracbasis as fracbasis
 from oracle_assembly import assemble_rowwise, transform_kernel
@@ -347,3 +348,53 @@ def test_assemble_names_non_finite_kernel():
     first = int(np.argmax(nodes > 0.5))
     with pytest.raises(ValueError, match=rf"coefficient K1 is not finite at collocation node {first} "):
         assemble(tp, 6, 1.0)
+
+
+# the quarter-power problem of perfbench/workloads.py, with its seed-7 constants
+QUARTER_POWER = """
+mu = 1/4
+gamma = 1
+eps = 0.7536
+T = 1
+y0 = 0
+p = 0.9295*cos(t)*t^2
+q = 0.8603*t^2
+K1 = exp(-1.0604*t*s)
+K2 = 1 + 0.8290*tau^2
+exact = t^(5/4)*exp(-t)
+exact_prime = exp(-t)*(5/4*t^(1/4) - t^(5/4))
+"""
+
+
+def test_config_without_kernels_has_zero_kernel_matrices():
+    text = "\n".join(line for line in QUARTER_POWER.splitlines() if not line.startswith("K"))
+    spec = parse_problem_config(text)
+    t, s = np.full((3, 1), 0.5), np.linspace(0.0, 1.0, 4)
+    assert spec.K1(t, s).shape == (3, 4) and spec.K2(t, s).shape == (3, 4)
+    system = assemble(transform(spec), 8, 0.25)
+    assert np.array_equal(system.C, np.zeros((9, 9)))
+    assert np.array_equal(system.D, np.zeros((9, 9)))
+
+
+def test_config_assembly_calls_each_expression_a_bounded_number_of_times(monkeypatch):
+    compile_function = exprlang.compile_function
+
+    def counting(source, variables):
+        fn = compile_function(source, variables)
+
+        def counted(*values, **extra):
+            calls[source] = calls.get(source, 0) + 1
+            return fn(*values, **extra)
+
+        return counted
+
+    monkeypatch.setattr(exprlang, "compile_function", counting)
+    counts = []
+    for n, quad_points in ((4, None), (16, None), (16, 64)):
+        calls = {}
+        tp = transform(parse_problem_config(QUARTER_POWER))
+        assemble(tp, n, 0.25, quad_points=quad_points)
+        counts.append(calls)
+    # one array call per sampling site: independent of N and the rule size
+    assert counts[0] == counts[1] == counts[2]
+    assert len(counts[0]) == 6 and max(counts[0].values()) <= 4

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fracvide.exprlang import (
@@ -167,3 +168,60 @@ def test_compile_function():
     assert f(3.0, c=1.0) == 10.0
     k = compile_function("exp(s)*t", ("t", "s"))
     assert k(2.0, 0.0) == 2.0
+
+
+def test_compile_function_broadcasts_to_arrays():
+    k = compile_function("exp(-c*t*s) + 0*t", ("t", "s"))
+    out = k(np.array([[0.5], [1.0]]), np.array([0.0, 1.0, 2.0]), c=2.0)
+    assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+    assert type(k(0.5, 1.0, c=2.0)) is float
+    # a constant, or an expression of some of the variables, fills the broadcast shape
+    one = compile_function("1 + 0.5*tau", ("t", "tau"))
+    assert one(np.zeros((4, 1)), np.ones(3)).shape == (4, 3)
+    assert compile_function("2", ("t",))(np.zeros(5)).tolist() == [2.0] * 5
+    # the result is a new array, not a view of an argument
+    t = np.array([1.0, 2.0])
+    same = compile_function("t", ("t",))(t)
+    same[0] = 5.0
+    assert t[0] == 1.0
+
+
+@pytest.mark.parametrize("source", [
+    "t^(3/2)*cos(t) - ln(t)/sqrt(t)",
+    "exp(-s^(1-mu))*pow(t, 1/3) + abs(sin(7*t))",
+    "beta(t, 1-mu) + (t^2 + 1)^-0.5",
+])
+def test_compiled_element_same_bits_alone_or_in_array(source):
+    f = compile_function(source, ("t", "s"))
+    rng = np.random.default_rng(17)
+    t = rng.uniform(0.01, 3.0, 257)
+    s = rng.uniform(0.0, 1.0, 257)
+    at_once = f(t, s, mu=0.5)
+    alone = [f(float(a), float(b), mu=0.5) for a, b in zip(t, s)]
+    assert np.array_equal(at_once, alone)
+
+
+@pytest.mark.parametrize("source,bindings,expected", GOLDEN)
+def test_golden_expressions_on_arrays(source, bindings, expected):
+    names = tuple(bindings) or ("unused",)
+    values = [np.full(4, bindings.get(name, 0.0)) for name in names]
+    out = compile_function(source, names)(*values)
+    assert out.shape == (4,)
+    assert out == pytest.approx(np.full(4, expected), rel=1e-14)
+
+
+@pytest.mark.parametrize("source,values,message", [
+    ("ln(t)", [2.0, 1.0, -1.0, 0.0, -2.0], "ln of non-positive value -1.0"),
+    ("sqrt(t)", [4.0, -3.0, -4.0], "sqrt of negative value -3.0"),
+    ("t^0.5", [2.0, -0.25, -2.0], "negative base -0.25 with non-integer exponent 0.5"),
+    ("pow(t, 1.5)", [[1.0, 2.0], [-8.0, -1.0]], "negative base -8.0 with non-integer exponent 1.5"),
+    ("beta(t, 1)", [1.0, 2.0, -0.5, 0.0], r"beta requires positive arguments, got \(-0.5, 1.0\)"),
+    ("1/(t-1)", [0.0, 1.0, 2.0], "division by zero"),
+    ("t^-1", [1.0, 0.0], "zero raised to a negative power"),
+    ("exp(t)", [1.0, 710.0], "exp produced a non-finite result"),
+    ("t*1e308*10", [0.0, 1.0], r"\* produced a non-finite result"),
+])
+def test_domain_errors_on_arrays_name_first_bad_value(source, values, message):
+    f = compile_function(source, ("t",))
+    with pytest.raises(ExprEvalError, match=f"^{message}$"):
+        f(np.array(values))

@@ -11,6 +11,7 @@ from fracvide.fracbasis import (
     eval_basis,
     interpolate,
     lebesgue_constant,
+    sample_values,
     sup_norm,
     weighted_l2_norm,
 )
@@ -239,3 +240,22 @@ def test_basis_quadrature_rejects_mismatched_shapes():
         basis_quadrature(b, np.full((2, 3), 0.5), np.ones((2, 2)))
     with pytest.raises(ValueError):
         basis_quadrature(b, np.full(3, 0.5), np.ones(3))
+
+
+def test_small_lambda_basis_keeps_distinct_z_nodes():
+    # theta_j = z_j**100 underflows to 0 for the smallest nodes; z_j must not
+    b = build_basis(130, -0.5, -0.5, 0.01)
+    assert np.all(np.diff(b.z_nodes) > 0)
+    assert np.all(np.isfinite(b.bary_weights))
+    grid = np.linspace(0.0, 1.0, 1500)
+    assert np.max(np.abs(interpolate(b, np.ones(131), grid) - 1.0)) <= 1e-13
+
+
+def test_sample_values_falls_back_for_scalar_only_callables():
+    pts = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+    assert np.array_equal(sample_values(math.sin, pts), [[math.sin(p) for p in row] for row in pts])
+    col = np.array([[0.5], [1.5], [2.5]])
+    k = lambda t, s: math.exp(-t * s)
+    want = [[k(a, b) for b in row] for a, row in zip(col[:, 0], pts)]
+    assert np.array_equal(sample_values(k, col, pts), want)
+    assert sample_values(lambda t: 0.0, pts).shape == (3, 4)

@@ -161,6 +161,18 @@ def test_manufactured_constant_solution():
         assert g(t) == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "config"])
+def test_manufactured_g_on_array_matches_pointwise(name):
+    spec = parse_problem_config(CONFIG) if name == "config" else builtin(name)
+    t = np.linspace(0.0, spec.T, 23)
+    at_once = spec.g(t)
+    pointwise = np.array([spec.g(float(v)) for v in t])
+    assert at_once.shape == t.shape
+    assert np.max(np.abs(at_once - pointwise)) <= 1e-14 * np.max(np.abs(pointwise))
+    grid = t.reshape(-1, 1)
+    assert np.array_equal(spec.g(grid), at_once.reshape(-1, 1))
+
+
 def test_manufactured_requires_exact():
     with pytest.raises(ValueError):
         manufactured_g(builtin("ex4"))

@@ -140,7 +140,8 @@ def test_gauss_jacobi_nodes_are_jacobi_zeros():
 
 
 def test_gauss_jacobi_against_scipy():
-    for n, alpha, beta_ in [(4, -0.5, -0.5), (16, -0.5, 2.0), (33, 0.0, 2.0), (40, -1 / 3, 3.0)]:
+    for n, alpha, beta_ in [(4, -0.5, -0.5), (16, -0.5, 2.0), (33, 0.0, 2.0), (40, -1 / 3, 3.0),
+                             (800, -0.5, -0.5)]:
         nodes, weights = gauss_jacobi(n, alpha, beta_)
         ref_nodes, ref_weights = roots_jacobi(n, alpha, beta_)
         assert nodes == pytest.approx(ref_nodes, abs=1e-13)
