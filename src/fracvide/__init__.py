@@ -19,7 +19,6 @@ from .collocate import (
     assemble,
     singular_ratio,
     solve,
-    solve_block,
 )
 from .fracbasis import (
     FractionalBasis,
@@ -47,8 +46,6 @@ from .specfun import (
     beta,
     frac_gauss_jacobi,
     gauss_jacobi,
-    jacobi_eval,
-    ln_gamma,
 )
 
 __version__ = "0.1.0"

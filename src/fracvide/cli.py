@@ -51,6 +51,16 @@ def _parse_n_range(text):
     return list(range(start, stop + 1, step))
 
 
+def _check_output_dir(args):
+    """Fail before any solve when the directory that output goes to is missing:
+    --out itself for reproduce, the parent of the --out file otherwise."""
+    if args.out is None:
+        return
+    directory = args.out if args.command == "reproduce" else os.path.dirname(args.out) or "."
+    if not os.path.isdir(directory):
+        raise CliError(f"output directory {directory!r} does not exist or is not a directory")
+
+
 def _report_lines(rep):
     return (f"n={rep.n} lambda={rep.lam:g} "
             f"L2_e={rep.l2_e:.5e} Linf_e={rep.linf_e:.5e} "
@@ -201,6 +211,7 @@ def main(argv=None):
         print("error: sweep needs exactly one of --n / --n-range", file=sys.stderr)
         return 2
     try:
+        _check_output_dir(args)
         return args.func(args)
     except (CliError, ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -10,16 +10,20 @@ delayed values v) satisfy
     u* = (P + C + D) u + Q v + G,   u = u0 + E u*,   v = u0 + H u*,
 
 which collapses to one (N+1) x (N+1) solve for u*.
+
+The delayed matrices need no quadrature at delayed points of their own.
+F_j(eps * theta) is a polynomial of degree N in theta**lam, so
+interpolating it on the nodes is exact: F_j(eps * eta) = sum_l F_l(eta)
+R[l, j] with R = basis_matrix(basis, eps * theta). Hence D = D~ R, where
+D~ is the K2-weighted quadrature at the points of C, and H = eps E R.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# basis_matrix is unused here but stays bound: profilers wrap the basis
-# functions at each module that binds them
-from .fracbasis import (basis_matrix, basis_quadrature, build_basis,  # noqa: F401
-                        interpolate, sample_values)
+from .fracbasis import (basis_matrix, basis_quadrature, build_basis, interpolate,
+                        sample_values)
 from .problem import kernel_samples
 from .specfun import frac_gauss_jacobi
 
@@ -49,6 +53,9 @@ class CollocationSystem:
     P and Q hold the diagonals of the coefficient matrices; C and D carry
     the two kernel integrals, E and H the antiderivative couplings. Row
     sums satisfy sum_j E[i, j] = theta_i and sum_j H[i, j] = eps * theta_i.
+    The delayed matrices are built by exact re-interpolation: D = D~ R and
+    H = eps E R, where R[l, j] = F_j(eps * theta_l) and D~ is the K2
+    quadrature at the undelayed points of C; eps = 1 gives R = I exactly.
     """
 
     tp: object
@@ -102,11 +109,11 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
         G = _finite("g", sample_values(tp.g1, theta), theta)
         k1 = _finite("K1", kernel_samples(tp.kbar1, col, eta), theta) * ratio / lam
         k2 = _finite("K2", kernel_samples(tp.kbar2, col, eps * eta), theta) * ratio / lam
-    C = basis_quadrature(basis, eta, w * k1)
-    D = basis_quadrature(basis, eps * eta, w * k2)
-    eta_h = col * sh
-    E = basis_quadrature(basis, eta_h, (col / lam) * wh)
-    H = basis_quadrature(basis, eps * eta_h, (eps * col / lam) * wh)
+    C, D_undelayed = basis_quadrature(basis, eta, np.stack([w * k1, w * k2]))
+    E = basis_quadrature(basis, col * sh, (col / lam) * wh)
+    R = basis_matrix(basis, eps * theta)
+    D = D_undelayed @ R
+    H = eps * (E @ R)
     U0 = np.full(n + 1, float(tp.y0))
     return CollocationSystem(tp=tp, n=n, lam=float(lam), alpha_c=float(alpha_c),
                              beta_c=float(beta_c), basis=basis, P=P, Q=Q, G=G, U0=U0,
@@ -180,20 +187,3 @@ def solve(system):
     v = system.U0 + system.H @ u_star
     return SolutionApprox(system=system, u_star=u_star, u=u, v=v)
 
-
-def solve_block(system):
-    """Debug path: solve the full 3(N+1) block system without elimination."""
-    size = system.n + 1
-    I = np.eye(size)
-    Z = np.zeros((size, size))
-    M = system.C + system.D
-    top = np.hstack([I, -(np.diag(system.P) + M), -np.diag(system.Q)])
-    mid = np.hstack([-system.E, I, Z])
-    bot = np.hstack([-system.H, Z, I])
-    A = np.vstack([top, mid, bot])
-    rhs = np.concatenate([system.G, system.U0, system.U0])
-    try:
-        sol = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"singular block system (n={system.n}, lam={system.lam}): {err}") from None
-    return SolutionApprox(system=system, u_star=sol[:size], u=sol[size:2 * size], v=sol[2 * size:])

@@ -82,21 +82,24 @@ def basis_matrix(basis, thetas):
 def basis_quadrature(basis, points, weights):
     """Weighted sums of the basis functions over rows of points.
 
-    points and weights have shape (rows, m); the result has shape
-    (rows, n+1) with entry [r, j] = sum_k weights[r, k] * F_j(points[r, k]).
-    The reciprocal differences 1/(z - z_j) are formed block by block in one
-    work array of at most 2 MB; the barycentric denominators are their
-    products with the barycentric weights, and each row is contracted with
-    matmul. A point on a node (as in basis_matrix) adds its weight to that
-    node's column alone.
+    points has shape (rows, m) and weights shape (..., rows, m): one or
+    more weight sets over the same points. The result has shape
+    (..., rows, n+1) with entry [..., r, j] = sum_k weights[..., r, k] *
+    F_j(points[r, k]). The reciprocal differences 1/(z - z_j) are formed
+    block by block in one work array of at most 2 MB; the barycentric
+    denominators are their products with the barycentric weights, and each
+    row is contracted with matmul, once per weight set, so a set gives the
+    same bits stacked as alone. A point on a node (as in basis_matrix) adds
+    its weight to that node's column alone.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if points.ndim != 2 or weights.shape != points.shape:
-        raise ValueError(f"points and weights must be 2-d of one shape, got "
+    if points.ndim != 2 or weights.shape[-2:] != points.shape:
+        raise ValueError(f"points must be 2-d and weights end in their shape, got "
                          f"{points.shape} and {weights.shape}")
     rows, m = points.shape
     size = basis.n + 1
+    sets = weights.reshape(-1, rows, m)
     z = points ** basis.lam if basis.lam != 1.0 else points
     node = _node_hits(basis, z)
     # z - z_j as the rank-2 product [z, 1] . [1, -z_j]: both products are
@@ -108,7 +111,7 @@ def basis_quadrature(basis, points, weights):
     k_block = min(m, max(1, _WORK_ENTRIES // size))
     r_block = min(rows, max(1, _WORK_ENTRIES // (m * size))) if k_block == m else 1
     work = np.empty(r_block * k_block * size)
-    out = np.zeros((rows, size))
+    out = np.zeros((len(sets), rows, size))
     for r0 in range(0, rows, r_block):
         r1 = min(rows, r0 + r_block)
         for k0 in range(0, m, k_block):
@@ -121,12 +124,14 @@ def basis_quadrature(basis, points, weights):
             recip[hit] = 0.0
             denom = recip @ basis.bary_weights
             denom[hit] = 1.0
-            coef = weights[r0:r1, k0:k1] / denom
-            out[r0:r1] += np.matmul(coef[:, None, :], recip)[:, 0, :]
+            for w, o in zip(sets, out):
+                coef = w[r0:r1, k0:k1] / denom
+                o[r0:r1] += np.matmul(coef[:, None, :], recip)[:, 0, :]
     out *= basis.bary_weights
     r, k = np.nonzero(node >= 0)
-    np.add.at(out, (r, node[r, k]), weights[r, k])
-    return out
+    for w, o in zip(sets, out):
+        np.add.at(o, (r, node[r, k]), w[r, k])
+    return out.reshape(weights.shape[:-1] + (size,))
 
 
 def _node_hits(basis, z):

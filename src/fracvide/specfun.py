@@ -1,8 +1,7 @@
 """Special functions and Gauss-Jacobi quadrature.
 
-Provides log-gamma and Beta helpers, Jacobi polynomial evaluation by the
-three-term recurrence, classical Gauss-Jacobi rules on [-1, 1] via the
-Golub-Welsch algorithm, and their fractional mapping to rules on [0, 1]
+Provides the Beta function, classical Gauss-Jacobi rules on [-1, 1] via
+the Golub-Welsch algorithm, and their fractional mapping to rules on [0, 1]
 for the weight
 
     w(theta) = lam * (1 - theta**lam)**alpha * theta**((beta+1)*lam - 1),
@@ -17,54 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def ln_gamma(x):
-    """Natural log of the Gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def beta(a, b):
     """Beta function B(a, b) = Gamma(a)*Gamma(b)/Gamma(a+b) for a, b > 0."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"beta requires positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-def jacobi_eval(n, alpha, beta, x):
-    """Evaluate the Jacobi polynomial J_n^(alpha,beta) and its derivative at x.
-
-    Uses the three-term recurrence (stable for all n in scope); the
-    derivative comes from d/dx J_n^(a,b) = (n+a+b+1)/2 * J_{n-1}^(a+1,b+1).
-
-    Returns (value, derivative).
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("Jacobi parameters must exceed -1")
-    value = _jacobi_value(n, alpha, beta, x)
-    if n == 0:
-        deriv = 0.0 * value
-    else:
-        deriv = 0.5 * (n + alpha + beta + 1) * _jacobi_value(n - 1, alpha + 1, beta + 1, x)
-    return value, deriv
-
-
-def _jacobi_value(n, alpha, beta, x):
-    x = np.asarray(x, dtype=float)
-    pkm1 = np.ones_like(x)
-    if n == 0:
-        return pkm1 if pkm1.ndim else float(pkm1)
-    pk = 0.5 * (alpha + beta + 2) * x + 0.5 * (alpha - beta)
-    for k in range(2, n + 1):
-        s = 2 * k + alpha + beta
-        a1 = 2 * k * (k + alpha + beta) * (s - 2)
-        a2 = (s - 1) * (alpha * alpha - beta * beta)
-        a3 = (s - 1) * s * (s - 2)
-        a4 = 2 * (k + alpha - 1) * (k + beta - 1) * s
-        pk, pkm1 = ((a2 + a3 * x) * pk - a4 * pkm1) / a1, pk
-    return pk if pk.ndim else float(pk)
 
 
 def _jacobi_recurrence(n, alpha, beta):

@@ -3,11 +3,14 @@
 This is the assembly loop that `fracvide.collocate.assemble` used before it
 evaluated the basis in blocks: one `basis_matrix` call per collocation node
 and integral, with the kernel transform written out as `transform_kernel`.
+The delayed matrices D and H are integrated at the delayed points directly.
+`solve_block` solves the full block system without elimination, as the
+oracle for `fracvide.collocate.solve`.
 """
 
 import numpy as np
 
-from fracvide.collocate import singular_ratio
+from fracvide.collocate import SolutionApprox, SolverError, singular_ratio
 from fracvide.fracbasis import basis_matrix, build_basis
 from fracvide.specfun import frac_gauss_jacobi
 
@@ -50,3 +53,21 @@ def assemble_rowwise(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
         E[i] = (ti / lam) * (wh @ basis_matrix(basis, eta_h))
         H[i] = (eps * ti / lam) * (wh @ basis_matrix(basis, eps * eta_h))
     return C, D, E, H
+
+
+def solve_block(system):
+    """Solve the full 3(N+1) block system without elimination."""
+    size = system.n + 1
+    I = np.eye(size)
+    Z = np.zeros((size, size))
+    M = system.C + system.D
+    top = np.hstack([I, -(np.diag(system.P) + M), -np.diag(system.Q)])
+    mid = np.hstack([-system.E, I, Z])
+    bot = np.hstack([-system.H, Z, I])
+    A = np.vstack([top, mid, bot])
+    rhs = np.concatenate([system.G, system.U0, system.U0])
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"singular block system (n={system.n}, lam={system.lam}): {err}") from None
+    return SolutionApprox(system=system, u_star=sol[:size], u=sol[size:2 * size], v=sol[2 * size:])

@@ -196,3 +196,27 @@ def test_gamma_override_changes_ex1(tmp_path, capsys):
                       "--gamma-override", "1.5", "--out", str(a)], capsys)
     assert code == 0
     assert json.loads(a.read_text())["n"] == 6
+
+
+def test_missing_output_directory_fails_before_solving(tmp_path, capsys, monkeypatch):
+    import fracvide.cli as cli
+
+    solves = []
+
+    def refuse(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("solve ran before the output directory was checked")
+
+    for name in ("assemble", "sweep", "self_reference"):
+        monkeypatch.setattr(cli, name, refuse)
+    missing = tmp_path / "no" / "such"
+    for argv in (["reproduce", "--problem", "ex1", "--out", str(missing)],
+                 ["reproduce", "--problem", "ex4", "--out", str(missing)],
+                 ["sweep", "--problem", "ex1", "--n", "4:2:8", "--out", str(missing / "s.csv")],
+                 ["solve", "--problem", "ex1", "--n", "4", "--out", str(missing / "s.json")]):
+        code, stdout, stderr = run(argv, capsys)
+        assert code == 1
+        assert f"output directory '{missing}' does not exist" in stderr
+        assert stdout == ""
+    assert solves == []
+    assert not missing.exists()

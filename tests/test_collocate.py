@@ -10,14 +10,14 @@ from fracvide.collocate import (
     assemble,
     singular_ratio,
     solve,
-    solve_block,
 )
 from fracvide.fracbasis import eval_basis
 from fracvide import exprlang
 from fracvide.problem import TransformedProblem, builtin, parse_problem_config, transform
 from fracvide.specfun import beta
+import fracvide.collocate as collocate
 import fracvide.fracbasis as fracbasis
-from oracle_assembly import assemble_rowwise, transform_kernel
+from oracle_assembly import assemble_rowwise, solve_block, transform_kernel
 from twin_classical import classical_solve
 
 
@@ -333,6 +333,36 @@ def test_blocked_assembly_split_rows_match_oracle(monkeypatch, work_entries):
     monkeypatch.setattr(fracbasis, "_WORK_ENTRIES", work_entries)
     _assert_matches_rowwise(transform(builtin("ex2")), 18, 0.5)
     _assert_matches_rowwise(transform(builtin("ex4")), 6, 1.0, quad_points=11)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
+def test_no_delay_gives_undelayed_matrices_exactly(lam):
+    # eps = 1 re-interpolates with R = I, so H is E and D is the K2
+    # quadrature at the points of C, bit for bit
+    k2 = lambda theta, u: np.cos(theta) + u * u
+    tp = make_tp(mu=0.3, gam=1.2, eps=1.0, k1=lambda theta, eta: 1.0 + eta, k2=k2)
+    system = assemble(tp, 12, lam)
+    assert np.array_equal(system.H, system.E)
+    rule = system.kernel_rule
+    theta = system.basis.nodes[:, None]
+    eta = theta * (rule.nodes ** (1.0 / lam) if lam != 1.0 else rule.nodes)
+    samples = k2(theta, eta) * singular_ratio(rule.nodes, lam, tp.mu) / lam
+    assert np.array_equal(system.D, fracbasis.basis_quadrature(system.basis, eta, rule.weights * samples))
+
+
+def test_assemble_makes_two_basis_quadrature_passes(monkeypatch):
+    calls = []
+    quadrature = collocate.basis_quadrature
+
+    def counted(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(collocate, "basis_quadrature", counted)
+    for n, lam in ((0, 1.0), (8, 0.5), (40, 0.3)):
+        calls.clear()
+        assemble(transform(builtin("ex1")), n, lam)
+        assert len(calls) == 2
 
 
 def test_assemble_rejects_underflowed_node():

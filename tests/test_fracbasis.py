@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fracvide.fracbasis as fracbasis
 from fracvide.fracbasis import (
     basis_matrix,
     basis_quadrature,
@@ -234,12 +235,33 @@ def test_basis_quadrature_node_hit_is_kronecker():
     assert np.max(np.abs(basis_quadrature(b, points, weights)[0] - want)) <= 1e-15
 
 
+@pytest.mark.parametrize("work_entries", [None, 7, 100, 400])
+def test_basis_quadrature_stacked_weights_match_one_call_per_set(monkeypatch, work_entries):
+    # a work array smaller than one row splits the rows into parts
+    if work_entries is not None:
+        monkeypatch.setattr(fracbasis, "_WORK_ENTRIES", work_entries)
+    rng = np.random.default_rng(11)
+    for n, lam in ((6, 0.5), (18, 1.0), (25, 0.3)):
+        b = build_basis(n, -0.5, -0.5, lam)
+        points = rng.uniform(0.0, 1.0, (n + 1, n + 3))
+        points[1, 2] = b.nodes[3]           # node hits among the points
+        points[n, 0] = b.nodes[n]
+        weights = rng.normal(size=(2, 3, n + 1, n + 3))
+        got = basis_quadrature(b, points, weights)
+        assert got.shape == (2, 3, n + 1, n + 1)
+        for index in np.ndindex(2, 3):
+            want = basis_quadrature(b, points, weights[index])
+            assert np.max(np.abs(got[index] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_basis_quadrature_rejects_mismatched_shapes():
     b = build_basis(3, -0.5, -0.5, 1.0)
     with pytest.raises(ValueError):
         basis_quadrature(b, np.full((2, 3), 0.5), np.ones((2, 2)))
     with pytest.raises(ValueError):
         basis_quadrature(b, np.full(3, 0.5), np.ones(3))
+    with pytest.raises(ValueError):
+        basis_quadrature(b, np.full((2, 3), 0.5), np.ones((2, 2, 2)))
 
 
 def test_small_lambda_basis_keeps_distinct_z_nodes():

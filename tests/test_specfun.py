@@ -10,9 +10,8 @@ from fracvide.specfun import (
     beta,
     frac_gauss_jacobi,
     gauss_jacobi,
-    jacobi_eval,
-    ln_gamma,
 )
+from oracle_specfun import jacobi_eval, ln_gamma
 
 
 def closed_form_jacobi(n, alpha, beta_, x):
