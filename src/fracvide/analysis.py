@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocate import assemble, solve
-from .fracbasis import default_error_grid, sup_norm, weighted_l2_norm
+from .fracbasis import default_error_grid, interpolate, sup_norm, weighted_l2_norm
 from .problem import transform
 
 R2_MARGIN = 0.02   # winning fit must have R^2 >= 1 - R2_MARGIN
@@ -59,7 +59,7 @@ def error_report(sol, exact_phi, exact_phi_prime, alpha_c=None, beta_c=None, qua
     """Norms of e = phi - phi_N and e* = phi' - phi*_N for one solution.
 
     The L2 norms use a quad_points Gauss rule, by default
-    default_quad_points(N).
+    default_quad_points(N), and the sup norms the default_error_grid.
     """
     system = sol.system
     alpha_c = system.alpha_c if alpha_c is None else alpha_c
@@ -67,15 +67,33 @@ def error_report(sol, exact_phi, exact_phi_prime, alpha_c=None, beta_c=None, qua
     if quad_points is None:
         quad_points = default_quad_points(system.n)
     grid = default_error_grid(system.basis)
-    e = lambda th: exact_phi(th) - sol.evaluate(th)
-    estar = lambda th: exact_phi_prime(th) - sol.evaluate_derivative(th)
-    return ErrorReport(
-        n=system.n, lam=system.lam,
-        l2_e=weighted_l2_norm(e, alpha_c, beta_c, 1.0, quad_points),
-        linf_e=sup_norm(e, grid),
-        l2_estar=weighted_l2_norm(estar, alpha_c, beta_c, 1.0, quad_points),
-        linf_estar=sup_norm(estar, grid),
-    )
+    e, estar = _error_functions(sol, exact_phi, exact_phi_prime)
+    # e and e* in turn on each point set, so that they share its basis matrix
+    l2_e = weighted_l2_norm(e, alpha_c, beta_c, 1.0, quad_points)
+    l2_estar = weighted_l2_norm(estar, alpha_c, beta_c, 1.0, quad_points)
+    linf_e = sup_norm(e, grid)
+    linf_estar = sup_norm(estar, grid)
+    return ErrorReport(n=system.n, lam=system.lam, l2_e=l2_e, linf_e=linf_e,
+                       l2_estar=l2_estar, linf_estar=linf_estar)
+
+
+def _error_functions(sol, exact_phi, exact_phi_prime):
+    """e = phi - phi_N and e* = phi' - phi*_N as functions of theta.
+
+    phi_N and phi*_N are interpolated together, from one basis matrix, and
+    kept for the latest points, so e and e* taken in turn on the same
+    points evaluate the basis there once.
+    """
+    coeffs = np.stack([sol.u, sol.u_star])
+    latest = [None, None]                     # points, interpolants there
+
+    def interpolants(theta):
+        if latest[0] is None or not np.array_equal(latest[0], theta):
+            latest[:] = np.array(theta), interpolate(sol.system.basis, coeffs, theta)
+        return latest[1]
+
+    return (lambda theta: exact_phi(theta) - interpolants(theta)[0],
+            lambda theta: exact_phi_prime(theta) - interpolants(theta)[1])
 
 
 @dataclass(frozen=True)

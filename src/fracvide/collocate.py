@@ -16,8 +16,13 @@ F_j(eps * theta) is a polynomial of degree N in theta**lam, so
 interpolating it on the nodes is exact: F_j(eps * eta) = sum_l F_l(eta)
 R[l, j] with R = basis_matrix(basis, eps * theta). Hence D = D~ R, where
 D~ is the K2-weighted quadrature at the points of C, and H = eps E R.
+
+The antiderivative matrix E depends on the discretization alone, not on
+the problem, so it is built once per (N, lam, alpha_c, beta_c, m) and
+shared read-only between systems.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +58,8 @@ class CollocationSystem:
     P and Q hold the diagonals of the coefficient matrices; C and D carry
     the two kernel integrals, E and H the antiderivative couplings. Row
     sums satisfy sum_j E[i, j] = theta_i and sum_j H[i, j] = eps * theta_i.
+    E is shared by every system of the same discretization and is
+    read-only (antiderivative_matrix).
     The delayed matrices are built by exact re-interpolation: D = D~ R and
     H = eps E R, where R[l, j] = F_j(eps * theta_l) and D~ is the K2
     quadrature at the undelayed points of C; eps = 1 gives R = I exactly.
@@ -91,13 +98,10 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
 
     basis = build_basis(n, alpha_c, beta_c, lam)
     theta = basis.nodes
-    # rules in the xi variable: weights (1-xi)^a xi^b with the scheme exponents
+    # the kernel rule in the xi variable: weight (1-xi)^-mu xi^((mu+gam)/lam - 1)
     kernel_rule = frac_gauss_jacobi(m, -mu, (mu + gam) / lam - 1.0, 1.0)
-    anti_rule = frac_gauss_jacobi(m, 0.0, 1.0 / lam - 1.0, 1.0)
     xi, w = kernel_rule.nodes, kernel_rule.weights
-    xih, wh = anti_rule.nodes, anti_rule.weights
     s = xi ** (1.0 / lam) if lam != 1.0 else xi            # eta_i(xi) = theta_i * s
-    sh = xih ** (1.0 / lam) if lam != 1.0 else xih
     ratio = singular_ratio(xi, lam, mu)
 
     col = theta[:, None]
@@ -110,7 +114,7 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
         k1 = _finite("K1", kernel_samples(tp.kbar1, col, eta), theta) * ratio / lam
         k2 = _finite("K2", kernel_samples(tp.kbar2, col, eps * eta), theta) * ratio / lam
     C, D_undelayed = basis_quadrature(basis, eta, np.stack([w * k1, w * k2]))
-    E = basis_quadrature(basis, col * sh, (col / lam) * wh)
+    E = antiderivative_matrix(n, lam, alpha_c, beta_c, m)
     R = basis_matrix(basis, eps * theta)
     D = D_undelayed @ R
     H = eps * (E @ R)
@@ -118,7 +122,27 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
     return CollocationSystem(tp=tp, n=n, lam=float(lam), alpha_c=float(alpha_c),
                              beta_c=float(beta_c), basis=basis, P=P, Q=Q, G=G, U0=U0,
                              C=C, D=D, E=E, H=H,
-                             kernel_rule=kernel_rule, anti_rule=anti_rule)
+                             kernel_rule=kernel_rule,
+                             anti_rule=frac_gauss_jacobi(m, 0.0, 1.0 / lam - 1.0, 1.0))
+
+
+@functools.lru_cache(maxsize=32)
+def antiderivative_matrix(n, lam, alpha_c, beta_c, m):
+    """E[i, j] = int_0^theta_i F_j(theta) dtheta by the m-point rule in xi.
+
+    E depends only on the discretization, so it is memoised on the
+    arguments and shared between systems; the array is read-only. At most
+    32 matrices are kept, 17 MB at N = 256.
+    """
+    basis = build_basis(n, alpha_c, beta_c, lam)
+    # the rule in the xi variable: weight xi**(1/lam - 1)
+    rule = frac_gauss_jacobi(m, 0.0, 1.0 / lam - 1.0, 1.0)
+    xih, wh = rule.nodes, rule.weights
+    sh = xih ** (1.0 / lam) if lam != 1.0 else xih
+    col = basis.nodes[:, None]
+    E = basis_quadrature(basis, col * sh, (col / lam) * wh)
+    E.setflags(write=False)
+    return E
 
 
 def _finite(name, samples, theta):

@@ -167,17 +167,21 @@ def eval_basis(basis, j, theta):
 
 
 def interpolate(basis, values, theta):
-    """Evaluate sum_j values[j] * F_j(theta); scalar in, scalar out.
+    """Evaluate sum_j values[..., j] * F_j(theta); scalar in, scalar out.
 
-    Each point's sum is formed on its own, so a point gives the same value
-    bit for bit whether it is passed alone or in an array.
+    values holds the n+1 nodal values of one function, or of several
+    stacked along leading axes, which then lead the result; the basis is
+    evaluated once for all of them. Each point's sum is formed on its own,
+    so a point gives the same value bit for bit whether it is passed alone
+    or in an array, and a function whether alone or stacked.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (basis.n + 1,):
+    if values.shape[-1:] != (basis.n + 1,):
         raise ValueError(f"expected {basis.n + 1} nodal values, got shape {values.shape}")
     if np.ndim(theta) == 0:
-        return float((_basis_row(basis, float(theta)) * values).sum())
-    return np.sum(basis_matrix(basis, theta) * values, axis=1)
+        out = (_basis_row(basis, float(theta)) * values).sum(axis=-1)
+        return float(out) if values.ndim == 1 else out
+    return np.sum(basis_matrix(basis, theta) * values[..., None, :], axis=-1)
 
 
 def lebesgue_constant(basis, grid_size):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import fracvide.analysis as analysis
+import fracvide.fracbasis as fracbasis
 from fracvide.analysis import (
     ErrorReport,
     SweepResult,
@@ -15,6 +17,7 @@ from fracvide.analysis import (
     sweep_filename,
 )
 from fracvide.collocate import assemble, solve
+from fracvide.fracbasis import sup_norm, weighted_l2_norm
 from fracvide.problem import builtin, transform
 
 
@@ -235,3 +238,62 @@ def test_default_error_rule_grows_with_n():
     assert 1.84e-4 / 1.5 <= rep.l2_estar <= 1.84e-4 * 1.5
     assert analysis.default_quad_points(49) == 200
     assert analysis.default_quad_points(192) == 772
+
+
+def _old_error_report(sol, phi, phi_prime, alpha_c, beta_c, quad_points):
+    """The four figures by the closures error_report used before it shared
+    one basis matrix between e and e*."""
+    grid = analysis.default_error_grid(sol.system.basis)
+    e = lambda th: phi(th) - sol.evaluate(th)
+    estar = lambda th: phi_prime(th) - sol.evaluate_derivative(th)
+    return (weighted_l2_norm(e, alpha_c, beta_c, 1.0, quad_points), sup_norm(e, grid),
+            weighted_l2_norm(estar, alpha_c, beta_c, 1.0, quad_points), sup_norm(estar, grid))
+
+
+def _scalar_only(f):
+    """f restricted to scalars: an array argument raises TypeError."""
+    return lambda t: float(f(t))
+
+
+@pytest.mark.parametrize("name, n, lam, alpha_c, beta_c, quad_points", [
+    ("ex1", 12, 0.5, -0.5, -0.5, None),
+    ("ex1", 40, 1.0, -0.5, -0.5, 300),
+    ("ex2", 9, 1.0, -0.5, -0.5, None),
+    ("ex2", 16, 0.3, 0.0, 0.0, None),
+    ("ex3", 20, 0.5, -0.5, -0.5, None),
+    ("ex3", 7, 0.25, 0.5, -0.5, 57),
+    ("scalar", 10, 0.5, -0.5, -0.5, None),
+    ("ex4", 8, 0.5, -0.5, -0.5, None),
+])
+def test_error_report_matches_old_closures_bit_for_bit(name, n, lam, alpha_c, beta_c, quad_points):
+    if name == "scalar":
+        spec = builtin("ex1")
+        spec = dataclasses.replace(spec, exact=_scalar_only(spec.exact),
+                                   exact_prime=_scalar_only(spec.exact_prime))
+    else:
+        spec = builtin(name)
+    tp = transform(spec)
+    sol = solve(assemble(tp, n, lam, alpha_c, beta_c))
+    if name == "ex4":
+        ref = self_reference(spec, 0.5, 18)
+        phi, phi_prime = ref.phi, ref.phi_prime
+    else:
+        phi, phi_prime = tp.phi, tp.phi_prime
+    rep = error_report(sol, phi, phi_prime, alpha_c, beta_c, quad_points)
+    m = analysis.default_quad_points(n) if quad_points is None else quad_points
+    want = _old_error_report(sol, phi, phi_prime, alpha_c, beta_c, m)
+    assert (rep.l2_e, rep.linf_e, rep.l2_estar, rep.linf_estar) == want
+
+
+def test_error_report_evaluates_the_basis_once_per_point_set(monkeypatch):
+    # one basis matrix on the error rule's nodes and one on the grid serve
+    # both e and e*; both go through fracbasis.basis_matrix
+    tp = transform(builtin("ex2"))
+    sol = solve(assemble(tp, 14, 0.5))
+    calls = []
+    matrix = fracbasis.basis_matrix
+    monkeypatch.setattr(fracbasis, "basis_matrix",
+                        lambda basis, points: calls.append(np.size(points)) or matrix(basis, points))
+    error_report(sol, tp.phi, tp.phi_prime)
+    grid = analysis.default_error_grid(sol.system.basis)
+    assert calls == [analysis.default_quad_points(14), grid.size]

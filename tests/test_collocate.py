@@ -14,7 +14,7 @@ from fracvide.collocate import (
 from fracvide.fracbasis import eval_basis
 from fracvide import exprlang
 from fracvide.problem import TransformedProblem, builtin, parse_problem_config, transform
-from fracvide.specfun import beta
+from fracvide.specfun import beta, frac_gauss_jacobi
 import fracvide.collocate as collocate
 import fracvide.fracbasis as fracbasis
 from oracle_assembly import assemble_rowwise, solve_block, transform_kernel
@@ -327,10 +327,21 @@ def test_blocked_assembly_matches_rowwise_oracle(name, lam):
         _assert_matches_rowwise(tp, n, lam)
 
 
+@pytest.fixture
+def fresh_antiderivative_cache():
+    """Empty the E cache after the test, so that an E built under a
+    patched block size reaches no other test."""
+    yield
+    collocate.antiderivative_matrix.cache_clear()
+
+
 @pytest.mark.parametrize("work_entries", [7, 100, 400])
-def test_blocked_assembly_split_rows_match_oracle(monkeypatch, work_entries):
-    # a work array smaller than one row splits the rows into parts
+def test_blocked_assembly_split_rows_match_oracle(monkeypatch, fresh_antiderivative_cache,
+                                                  work_entries):
+    # a work array smaller than one row splits the rows into parts; the E
+    # cache is emptied after the patch so that E is built with split rows too
     monkeypatch.setattr(fracbasis, "_WORK_ENTRIES", work_entries)
+    collocate.antiderivative_matrix.cache_clear()
     _assert_matches_rowwise(transform(builtin("ex2")), 18, 0.5)
     _assert_matches_rowwise(transform(builtin("ex4")), 6, 1.0, quad_points=11)
 
@@ -351,6 +362,8 @@ def test_no_delay_gives_undelayed_matrices_exactly(lam):
 
 
 def test_assemble_makes_two_basis_quadrature_passes(monkeypatch):
+    # two passes cold (C and D~ stacked, then E); a second problem at the
+    # same discretization reuses E and makes one
     calls = []
     quadrature = collocate.basis_quadrature
 
@@ -359,10 +372,49 @@ def test_assemble_makes_two_basis_quadrature_passes(monkeypatch):
         return quadrature(*args)
 
     monkeypatch.setattr(collocate, "basis_quadrature", counted)
+    collocate.antiderivative_matrix.cache_clear()
     for n, lam in ((0, 1.0), (8, 0.5), (40, 0.3)):
         calls.clear()
         assemble(transform(builtin("ex1")), n, lam)
         assert len(calls) == 2
+        calls.clear()
+        assemble(transform(builtin("ex2")), n, lam)
+        assert len(calls) == 1
+
+
+def _direct_antiderivative(n, lam, m=None):
+    """E by one basis_quadrature call with the formula assemble used before
+    E was memoised."""
+    basis = fracbasis.build_basis(n, -0.5, -0.5, lam)
+    rule = frac_gauss_jacobi(n + 1 if m is None else m, 0.0, 1.0 / lam - 1.0, 1.0)
+    sh = rule.nodes ** (1.0 / lam) if lam != 1.0 else rule.nodes
+    col = basis.nodes[:, None]
+    return fracbasis.basis_quadrature(basis, col * sh, (col / lam) * rule.weights)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
+def test_problems_at_one_discretization_share_one_read_only_E(lam):
+    first = assemble(transform(builtin("ex1")), 24, lam)
+    second = assemble(transform(builtin("ex2")), 24, lam)
+    assert second.E is first.E
+    assert np.array_equal(first.E, _direct_antiderivative(24, lam))
+    with pytest.raises(ValueError, match="read-only"):
+        first.E[0, 0] = 1.0
+    # H is formed afresh for each problem from the shared E
+    assert not np.shares_memory(first.H, first.E)
+    assert np.array_equal(second.H, second.tp.eps * (first.E @ fracbasis.basis_matrix(
+        first.basis, second.tp.eps * first.basis.nodes)))
+
+
+def test_quad_points_override_gets_its_own_E():
+    tp = transform(builtin("ex3"))
+    plain = assemble(tp, 10, 0.5)
+    over = assemble(tp, 10, 0.5, quad_points=22)
+    assert over.E is not plain.E
+    assert over.anti_rule.n_points == 22
+    assert np.array_equal(over.E, _direct_antiderivative(10, 0.5, m=22))
+    assert np.array_equal(plain.E, _direct_antiderivative(10, 0.5))
+    assert assemble(tp, 10, 0.5, quad_points=22).E is over.E
 
 
 def test_assemble_rejects_underflowed_node():

@@ -117,6 +117,31 @@ def test_interpolate_rejects_wrong_length():
     b = build_basis(3, -0.5, -0.5, 1.0)
     with pytest.raises(ValueError):
         interpolate(b, np.zeros(3), 0.5)
+    with pytest.raises(ValueError):
+        interpolate(b, np.zeros((2, 3)), np.array([0.5]))
+    with pytest.raises(ValueError):
+        interpolate(b, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
+def test_stacked_interpolation_matches_one_function_at_a_time(monkeypatch, lam):
+    b = build_basis(17, -0.5, -0.5, lam)
+    stack = np.stack([np.cos(3.0 * b.nodes), b.nodes ** 0.5, np.exp(-b.nodes)])
+    grid = np.union1d(np.linspace(0.0, 1.0, 301), b.nodes)
+    calls = []
+    matrix = fracbasis.basis_matrix
+    monkeypatch.setattr(fracbasis, "basis_matrix",
+                        lambda *args: calls.append(1) or matrix(*args))
+    together = interpolate(b, stack, grid)
+    assert together.shape == (3, grid.size) and len(calls) == 1
+    for k in range(3):
+        assert np.array_equal(together[k], interpolate(b, stack[k], grid))
+    twice = interpolate(b, np.stack([stack[:2], stack[1:]]), grid)
+    assert np.array_equal(twice[1, 1], together[2])
+    for t in (0.0, 0.37, float(b.nodes[4]), 1.0):
+        at_t = interpolate(b, stack, t)
+        assert at_t.shape == (3,)
+        assert at_t.tolist() == [interpolate(b, row, t) for row in stack]
 
 
 def test_lebesgue_degree_zero():

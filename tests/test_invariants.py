@@ -2,13 +2,14 @@
 
 Twenty cases draw admissible (mu, gamma, eps), lam in [0.25, 1] and N <= 40
 from one fixed numpy generator, so a failing case reproduces by its index.
+Eight more, from a second generator, also draw the interval length T.
 """
 
 import numpy as np
 import pytest
 
 from fracvide.collocate import assemble, solve
-from fracvide.problem import TransformedProblem
+from fracvide.problem import ProblemSpec, TransformedProblem, transform
 from fracvide.specfun import beta
 from oracle_assembly import assemble_rowwise
 
@@ -92,3 +93,64 @@ def test_constant_solution_is_a_fixed_point(index):
     assert np.max(np.abs(sol.u_star)) <= 1e-12 * max(1.0, abs(y0 * kernels))
     assert np.max(np.abs(sol.u - y0)) <= 1e-12
     assert np.max(np.abs(sol.v - y0)) <= 1e-12
+
+
+def _draw_scaled_cases(count, seed=20261020):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        mu = rng.uniform(0.0, 0.9)
+        gamma = rng.uniform(max(1.0 - mu, 0.05), 2.5)
+        cases.append(dict(mu=float(mu), gamma=float(gamma), eps=float(rng.uniform(0.05, 1.0)),
+                          T=float(rng.uniform(0.2, 4.0)), lam=float(rng.uniform(0.25, 1.0)),
+                          n=int(rng.integers(2, 25)), coef=rng.uniform(-1.0, 1.0, 8)))
+    return cases
+
+
+SCALED_CASES = _draw_scaled_cases(8)
+
+
+def _scaled_pair(case):
+    """A problem on [0, T] and its twin rescaled by hand to [0, 1].
+
+    With tau = t/T and Y(tau) = y(T tau), the twin has p2(tau) =
+    T^(1-gamma) p(T tau) (likewise q and g) and K2(tau, sigma) =
+    T K(T tau, T sigma). The exact solution y is a stand-in, not the
+    solution of either problem: only its mapping by transform is compared,
+    and the twin's derivative is T y'(T tau)."""
+    T, gam, a = case["T"], case["gamma"], case["coef"]
+    p = lambda t: a[0] * t ** gam * np.cos(t)
+    q = lambda t: a[1] * t ** gam
+    g = lambda t: t ** gam * np.sin(1.0 + a[2] * t)
+    # kernels of size 1/T, so that the transformed kernels T K stay of size 1
+    k1 = lambda t, s: (np.exp(a[3] * (t - s) / T) + a[4] * s / T) / T
+    k2 = lambda t, u: (a[5] + np.cos(a[6] * t + u)) / T
+    y = lambda t: np.exp(a[7] * t / T)
+    yp = lambda t: a[7] / T * np.exp(a[7] * t / T)
+    common = dict(mu=case["mu"], gamma=gam, eps=case["eps"], y0=1.0 + a[7], name="scaled")
+    spec = ProblemSpec(T=T, p=p, q=q, g=g, K1=k1, K2=k2, exact=y, exact_prime=yp, **common)
+    scale = T ** (1.0 - gam)
+    twin = ProblemSpec(
+        T=1.0, p=lambda tau: scale * p(T * tau), q=lambda tau: scale * q(T * tau),
+        g=lambda tau: scale * g(T * tau),
+        K1=lambda tau, sigma: T * k1(T * tau, T * sigma),
+        K2=lambda tau, sigma: T * k2(T * tau, T * sigma),
+        exact=lambda tau: y(T * tau), exact_prime=lambda tau: T * yp(T * tau), **common)
+    return spec, twin
+
+
+@pytest.mark.parametrize("index", range(len(SCALED_CASES)))
+def test_transform_scales_time_like_the_hand_rescaled_twin(index):
+    case = SCALED_CASES[index]
+    spec, twin = _scaled_pair(case)
+    tp, tp_twin = transform(spec), transform(twin)
+    sol = solve(assemble(tp, case["n"], case["lam"]))
+    sol_twin = solve(assemble(tp_twin, case["n"], case["lam"]))
+    for got, want in ((sol.u, sol_twin.u), (sol.u_star, sol_twin.u_star), (sol.v, sol_twin.v)):
+        assert _max_rel_diff(got, want) <= 1e-13
+    theta = sol.system.basis.nodes
+    assert _max_rel_diff(tp.phi(theta), tp_twin.phi(theta)) <= 1e-15
+    assert _max_rel_diff(tp.phi_prime(theta), tp_twin.phi_prime(theta)) <= 1e-15
+    # to_physical maps t in [0, T] to the twin at t / T
+    t = np.linspace(0.0, case["T"], 37)
+    assert _max_rel_diff(sol.to_physical(t), sol_twin.evaluate(t / case["T"])) <= 1e-13
