@@ -10,7 +10,7 @@ fit, otherwise the result is inconclusive.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,15 @@ class SweepResult:
     rate_class: str      # "exponential" | "algebraic" | "inconclusive"
     fitted_rate: float
     failures: tuple = () # (n, message) for degrees that failed to solve
+
+    def restricted(self, ns):
+        """This sweep cut down to the degrees ns: their rows and failures,
+        with the decay classified again from those rows alone."""
+        keep = set(ns)
+        rows = tuple(row for row in self.rows if row.n in keep)
+        label, rate = classify_decay([r.n for r in rows], [r.l2_e for r in rows])
+        return replace(self, rows=rows, rate_class=label, fitted_rate=rate,
+                       failures=tuple(f for f in self.failures if f[0] in keep))
 
 
 def default_quad_points(n):
@@ -78,22 +87,31 @@ def error_report(sol, exact_phi, exact_phi_prime, alpha_c=None, beta_c=None, qua
 
 
 def _error_functions(sol, exact_phi, exact_phi_prime):
-    """e = phi - phi_N and e* = phi' - phi*_N as functions of theta.
+    """e = phi - phi_N and e* = phi' - phi*_N as functions of theta."""
+    interpolants = _latest_interpolants(sol)
+    return (lambda theta: exact_phi(theta) - interpolants(theta)[0],
+            lambda theta: exact_phi_prime(theta) - interpolants(theta)[1])
+
+
+def _latest_interpolants(sol):
+    """theta -> (phi_N(theta), phi*_N(theta)), stacked.
 
     phi_N and phi*_N are interpolated together, from one basis matrix, and
-    kept for the latest points, so e and e* taken in turn on the same
-    points evaluate the basis there once.
+    kept for the latest points, so taking one and then the other on the
+    same points evaluates the basis there once. The kept values are
+    read-only, since each call on those points hands out the same array.
     """
     coeffs = np.stack([sol.u, sol.u_star])
     latest = [None, None]                     # points, interpolants there
 
     def interpolants(theta):
         if latest[0] is None or not np.array_equal(latest[0], theta):
-            latest[:] = np.array(theta), interpolate(sol.system.basis, coeffs, theta)
+            values = interpolate(sol.system.basis, coeffs, theta)
+            values.flags.writeable = False
+            latest[:] = np.array(theta), values
         return latest[1]
 
-    return (lambda theta: exact_phi(theta) - interpolants(theta)[0],
-            lambda theta: exact_phi_prime(theta) - interpolants(theta)[1])
+    return interpolants
 
 
 @dataclass(frozen=True)
@@ -114,9 +132,16 @@ class ReferenceSolution:
 
 def self_reference(spec, lambda_ref, n_ref, alpha_c=-0.5, beta_c=-0.5):
     """Solve once at (lambda_ref, n_ref) and wrap the result as a surrogate
-    exact solution for problems without a closed form."""
+    exact solution for problems without a closed form.
+
+    phi and phi_prime give sol.evaluate and sol.evaluate_derivative bit for
+    bit; they share one basis evaluation per point set, so an error report
+    taking both on the same points evaluates the reference basis once.
+    """
     sol = solve(assemble(transform(spec), n_ref, lambda_ref, alpha_c, beta_c))
-    return ReferenceSolution(phi=sol.evaluate, phi_prime=sol.evaluate_derivative,
+    interpolants = _latest_interpolants(sol)
+    return ReferenceSolution(phi=lambda theta: interpolants(theta)[0],
+                             phi_prime=lambda theta: interpolants(theta)[1],
                              lam=lambda_ref, n_ref=n_ref)
 
 

@@ -131,30 +131,43 @@ def run_reproduce(args):
         print(f"solving reference (lambda={ref_cfg['lam']:g}, n={ref_cfg['n']})", file=sys.stderr)
         reference = self_reference(spec, ref_cfg["lam"], ref_cfg["n"], args.alpha, args.beta)
 
+    # one sweep over every degree either table needs; each table keeps its own
+    result = sweep(spec, lam, sorted(set(bench["e"]["n"]) | set(bench["estar"]["n"])),
+                   args.alpha, args.beta, reference=reference, quad_points=args.quad_points)
+    for n, message in result.failures:
+        print(f"n={n} failed: {message}", file=sys.stderr)
+
     outputs = []
-    summary = []
+    summary = []   # (part, cells of that table: (norm, N, computed, benchmark))
     for part, fields in (("e", ("l2_e", "linf_e")), ("estar", ("l2_estar", "linf_estar"))):
-        grid = list(bench[part]["n"])
-        result = sweep(spec, lam, grid, args.alpha, args.beta,
-                       reference=reference, quad_points=args.quad_points)
-        out = os.path.join(args.out or ".", f"{name}_{lam:g}_{part}.csv")
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(emit_table(result, "csv"))
-        outputs.append(out)
-        by_n = {row.n: row for row in result.rows}
-        for norm_key, field in zip(("l2", "linf"), fields):
-            for n, bench_val in zip(bench[part]["n"], bench[part][norm_key]):
-                ours = getattr(by_n[n], field)
-                summary.append((part, norm_key, n, ours, bench_val, ours / bench_val))
+        table = result.restricted(bench[part]["n"])
+        if table.rows:
+            out = os.path.join(args.out or ".", f"{name}_{lam:g}_{part}.csv")
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(emit_table(table, "csv"))
+            outputs.append(out)
+        by_n = {row.n: row for row in table.rows}
+        summary.append((part, [(norm_key, n, getattr(by_n[n], field), bench_val)
+                               for norm_key, field in zip(("l2", "linf"), fields)
+                               for n, bench_val in zip(bench[part]["n"], bench[part][norm_key])
+                               if n in by_n]))
         if part == "e":
-            rate = f"{result.fitted_rate:.3f}" if result.rate_class != "inconclusive" else "n/a"
-            print(f"classification: {result.rate_class} (fitted rate {rate})")
+            rate = f"{table.fitted_rate:.3f}" if table.rate_class != "inconclusive" else "n/a"
+            print(f"classification: {table.rate_class} (fitted rate {rate})")
 
     for out in outputs:
         print(f"wrote {out}", file=sys.stderr)
     print(f"{'part':<6}{'norm':<6}{'N':>4}  {'computed':>12}  {'benchmark':>12}  {'ratio':>10}")
-    for part, norm_key, n, ours, bench_val, ratio in summary:
-        print(f"{part:<6}{norm_key:<6}{n:>4}  {ours:>12.5e}  {bench_val:>12.5e}  {ratio:>10.3e}")
+    for part, cells in summary:
+        ratios = [ours / bench_val for _, _, ours, bench_val in cells]
+        for (norm_key, n, ours, bench_val), ratio in zip(cells, ratios):
+            print(f"{part:<6}{norm_key:<6}{n:>4}  {ours:>12.5e}  {bench_val:>12.5e}  {ratio:>10.3e}")
+        if ratios:
+            print(f"ratio band {part}: {min(ratios):.3e} to {max(ratios):.3e} "
+                  f"over {len(ratios)} cells")
+    if result.failures:
+        failed = ", ".join(str(n) for n, _ in result.failures)
+        raise CliError(f"{name}: failed at n = {failed}; their cells are left out")
     return 0
 
 

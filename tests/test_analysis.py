@@ -297,3 +297,37 @@ def test_error_report_evaluates_the_basis_once_per_point_set(monkeypatch):
     error_report(sol, tp.phi, tp.phi_prime)
     grid = analysis.default_error_grid(sol.system.basis)
     assert calls == [analysis.default_quad_points(14), grid.size]
+
+
+@pytest.mark.parametrize("name", ["ex4", "ex5"])
+def test_self_reference_shares_one_basis_evaluation(name, monkeypatch):
+    # phi and phi_prime are sol.evaluate and sol.evaluate_derivative bit for
+    # bit, from one basis matrix per point set
+    spec = builtin(name)
+    ref = self_reference(spec, 0.5, 18)
+    sol = solve(assemble(transform(spec), 18, 0.5))
+    calls = []
+    matrix = fracbasis.basis_matrix
+    monkeypatch.setattr(fracbasis, "basis_matrix",
+                        lambda basis, points: calls.append(np.size(points)) or matrix(basis, points))
+    nodes = sol.system.basis.nodes
+    points = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 37), nodes[::3]])
+    for theta in (points, nodes, points):
+        phi, phi_prime = ref.phi(theta), ref.phi_prime(theta)
+        assert phi.tobytes() == sol.evaluate(theta).tobytes()
+        assert phi_prime.tobytes() == sol.evaluate_derivative(theta).tobytes()
+    # each switch of point set evaluates the reference basis once; the
+    # evaluate calls above add one each
+    assert calls == [points.size] * 3 + [nodes.size] * 3 + [points.size] * 3
+    with pytest.raises(ValueError):
+        ref.phi(points)[0] = 1.0
+    for t in (0.0, 1.0, 0.3, float(nodes[5]), 1e-9):
+        assert ref.phi(t) == sol.evaluate(t) and isinstance(ref.phi(t), float)
+        assert ref.phi_prime(t) == sol.evaluate_derivative(t)
+    # an error report against the reference: one basis matrix for the
+    # reference and one for the solution on each point set
+    calls.clear()
+    low = solve(assemble(transform(spec), 10, 0.5))
+    error_report(low, ref.phi, ref.phi_prime)
+    grid = analysis.default_error_grid(low.system.basis)
+    assert calls == [analysis.default_quad_points(10)] * 2 + [grid.size] * 2

@@ -4,11 +4,14 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import fracvide
+from fracvide.analysis import emit_table, self_reference, sweep
 from fracvide.cli import main
-from fracvide.collocate import assemble, solve
+from fracvide.collocate import SolverError, assemble, solve
 from fracvide.problem import builtin, transform
+from fracvide.refdata import BENCHMARKS
 
 CONFIG = """
 mu = 1/2
@@ -152,10 +155,18 @@ def test_reproduce_ex1(tmp_path, capsys):
     assert len(e_csv.read_text().strip().splitlines()) == 6
     assert "ratio" in stdout
     # every computed cell should be within x100 of the benchmark value
+    ratios = {"e": [], "estar": []}
     for line in stdout.splitlines():
         parts = line.split()
         if parts and parts[0] in ("e", "estar"):
             assert float(parts[-1]) <= 100.0
+            ratios[parts[0]].append(float(parts[-1]))
+    # after each table, the band of its ratios: e first, then estar
+    bands = [line for line in stdout.splitlines() if line.startswith("ratio band")]
+    assert bands == [f"ratio band {part}: {min(r):.3e} to {max(r):.3e} over 10 cells"
+                     for part, r in ratios.items()]
+    lines = stdout.splitlines()
+    assert lines.index(bands[0]) == 12 and lines[-1] == bands[1]
 
 
 def test_reproduce_ex4_uses_reference(tmp_path, capsys):
@@ -173,6 +184,73 @@ def test_reproduce_ex3_lambda_half(tmp_path, capsys):
     # the derivative table uses its own N grid
     lines = (tmp_path / "ex3_0.5_estar.csv").read_text().strip().splitlines()
     assert lines[1].startswith("7,") and lines[-1].startswith("17,")
+
+
+def _counting_assemble(monkeypatch):
+    import fracvide.analysis as analysis
+
+    degrees = []
+    real = analysis.assemble
+
+    def counting(tp, n, *args, **kwargs):
+        degrees.append(n)
+        return real(tp, n, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "assemble", counting)
+    return degrees
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_reproduce_assembles_each_degree_once(name, tmp_path, capsys, monkeypatch):
+    degrees = _counting_assemble(monkeypatch)
+    code, _, _ = run(["reproduce", "--problem", name, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    bench = BENCHMARKS[name]
+    reference = [bench["reference"]["n"]] if "reference" in bench else []
+    assert degrees == reference + sorted(set(bench["e"]["n"]) | set(bench["estar"]["n"]))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3", "ex4"])
+def test_reproduce_tables_match_independent_sweeps(name, tmp_path, capsys):
+    # ex1's tables share their degrees; ex3's and ex4's grids differ
+    code, stdout, _ = run(["reproduce", "--problem", name, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    bench = BENCHMARKS[name]
+    spec = builtin(name)
+    reference = None
+    if "reference" in bench:
+        reference = self_reference(spec, bench["reference"]["lam"], bench["reference"]["n"])
+    for part in ("e", "estar"):
+        alone = sweep(spec, bench["lam"], bench[part]["n"], reference=reference)
+        csv = tmp_path / f"{name}_{bench['lam']:g}_{part}.csv"
+        assert csv.read_bytes() == emit_table(alone, "csv").encode()
+        if part == "e":
+            rate = f"{alone.fitted_rate:.3f}" if alone.rate_class != "inconclusive" else "n/a"
+            assert stdout.splitlines()[0] == f"classification: {alone.rate_class} (fitted rate {rate})"
+
+
+def test_reproduce_reports_a_failed_degree(tmp_path, capsys, monkeypatch):
+    import fracvide.analysis as analysis
+
+    real = analysis.assemble
+
+    def fail_at_8(tp, n, *args, **kwargs):
+        if n == 8:
+            raise SolverError("injected failure")
+        return real(tp, n, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "assemble", fail_at_8)
+    code, stdout, stderr = run(["reproduce", "--problem", "ex1", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert "n=8 failed: injected failure" in stderr.splitlines()
+    assert stderr.splitlines()[-1].startswith("error: ex1: ") and "n = 8" in stderr
+    assert "Traceback" not in stderr
+    cells = [line.split() for line in stdout.splitlines() if line.split()[0] in ("e", "estar")]
+    assert len(cells) == 16 and all(cell[2] != "8" for cell in cells)
+    assert "ratio band e: " in stdout and "over 8 cells" in stdout
+    for part in ("e", "estar"):
+        rows = (tmp_path / f"ex1_0.5_{part}.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["4", "6", "10", "12"]
 
 
 def test_reproduce_rejects_config_path(tmp_path, capsys):
