@@ -64,22 +64,21 @@ def default_quad_points(n):
     return max(200, 4 * (n + 1))
 
 
-def error_report(sol, exact_phi, exact_phi_prime, alpha_c=None, beta_c=None, quad_points=None):
+def error_report(sol, exact_phi, exact_phi_prime, quad_points=None):
     """Norms of e = phi - phi_N and e* = phi' - phi*_N for one solution.
 
     The L2 norms use a quad_points Gauss rule, by default
-    default_quad_points(N), and the sup norms the default_error_grid.
+    default_quad_points(N), with the collocation weight the system was
+    assembled with; the sup norms use the default_error_grid.
     """
     system = sol.system
-    alpha_c = system.alpha_c if alpha_c is None else alpha_c
-    beta_c = system.beta_c if beta_c is None else beta_c
     if quad_points is None:
         quad_points = default_quad_points(system.n)
     grid = default_error_grid(system.basis)
     e, estar = _error_functions(sol, exact_phi, exact_phi_prime)
     # e and e* in turn on each point set, so that they share its basis matrix
-    l2_e = weighted_l2_norm(e, alpha_c, beta_c, 1.0, quad_points)
-    l2_estar = weighted_l2_norm(estar, alpha_c, beta_c, 1.0, quad_points)
+    l2_e = weighted_l2_norm(e, system.alpha_c, system.beta_c, 1.0, quad_points)
+    l2_estar = weighted_l2_norm(estar, system.alpha_c, system.beta_c, 1.0, quad_points)
     linf_e = sup_norm(e, grid)
     linf_estar = sup_norm(estar, grid)
     return ErrorReport(n=system.n, lam=system.lam, l2_e=l2_e, linf_e=linf_e,
@@ -204,7 +203,7 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
     for n in n_values:
         try:
             sol = solve(assemble(tp, n, lam, alpha_c, beta_c))
-            rows.append(error_report(sol, phi, phi_prime, alpha_c, beta_c, quad_points))
+            rows.append(error_report(sol, phi, phi_prime, quad_points))
         except (ValueError, RuntimeError) as err:
             failures.append((n, str(err)))
     label, rate = classify_decay([r.n for r in rows], [r.l2_e for r in rows])
@@ -224,8 +223,6 @@ def emit_table(result, fmt="csv"):
     the text layout mirrors the usual convergence-table convention of one
     row per norm with N across the columns.
     """
-    if not fmt:
-        raise ValueError("empty format")
     if not result.rows:
         raise ValueError("empty sweep result")
     if fmt == "csv":
@@ -233,7 +230,7 @@ def emit_table(result, fmt="csv"):
         for row in result.rows:
             lines.append(",".join([str(row.n)] + [f"{getattr(row, f):.5e}" for f in _FIELDS]))
         return "\n".join(lines) + "\n"
-    if fmt in ("text", "aligned-text"):
+    if fmt == "text":
         width = 13
         header = "N".ljust(10) + "".join(str(r.n).rjust(width) for r in result.rows)
         lines = [header]

@@ -61,6 +61,16 @@ def _check_output_dir(args):
         raise CliError(f"output directory {directory!r} does not exist or is not a directory")
 
 
+def _check_failures(result):
+    """Print each degree the sweep could not solve, then raise CliError
+    naming them all; the output written before holds the other degrees."""
+    for n, message in result.failures:
+        print(f"n={n} failed: {message}", file=sys.stderr)
+    if result.failures:
+        failed = ", ".join(str(n) for n, _ in result.failures)
+        raise CliError(f"{result.problem}: failed at n = {failed}; their rows are left out")
+
+
 def _report_lines(rep):
     return (f"n={rep.n} lambda={rep.lam:g} "
             f"L2_e={rep.l2_e:.5e} Linf_e={rep.linf_e:.5e} "
@@ -91,14 +101,14 @@ def run_solve(args):
         fh.write("\n")
     print(f"wrote {out}", file=sys.stderr)
     if tp.phi is not None:
-        rep = error_report(sol, tp.phi, tp.phi_prime, args.alpha, args.beta, args.quad_points)
+        rep = error_report(sol, tp.phi, tp.phi_prime, args.quad_points)
         print(_report_lines(rep))
     return 0
 
 
 def run_sweep(args):
     spec = _load_spec(args)
-    n_values = _parse_n_range(args.n_range if args.n_range is not None else args.n)
+    n_values = _parse_n_range(args.n)
     reference = None
     if spec.exact is None:
         print(f"no exact solution; solving reference (lambda={args.ref_lambda:g}, "
@@ -106,8 +116,6 @@ def run_sweep(args):
         reference = self_reference(spec, args.ref_lambda, args.ref_n, args.alpha, args.beta)
     result = sweep(spec, args.lam, n_values, args.alpha, args.beta,
                    reference=reference, quad_points=args.quad_points)
-    for n, message in result.failures:
-        print(f"n={n} failed: {message}", file=sys.stderr)
     text = emit_table(result, args.format)
     out = args.out or sweep_filename(result)
     with open(out, "w", encoding="utf-8") as fh:
@@ -115,6 +123,7 @@ def run_sweep(args):
     print(f"wrote {out}", file=sys.stderr)
     rate = f"{result.fitted_rate:.3f}" if result.rate_class != "inconclusive" else "n/a"
     print(f"classification: {result.rate_class} (fitted rate {rate})")
+    _check_failures(result)
     return 0
 
 
@@ -134,8 +143,6 @@ def run_reproduce(args):
     # one sweep over every degree either table needs; each table keeps its own
     result = sweep(spec, lam, sorted(set(bench["e"]["n"]) | set(bench["estar"]["n"])),
                    args.alpha, args.beta, reference=reference, quad_points=args.quad_points)
-    for n, message in result.failures:
-        print(f"n={n} failed: {message}", file=sys.stderr)
 
     outputs = []
     summary = []   # (part, cells of that table: (norm, N, computed, benchmark))
@@ -165,9 +172,7 @@ def run_reproduce(args):
         if ratios:
             print(f"ratio band {part}: {min(ratios):.3e} to {max(ratios):.3e} "
                   f"over {len(ratios)} cells")
-    if result.failures:
-        failed = ", ".join(str(n) for n, _ in result.failures)
-        raise CliError(f"{name}: failed at n = {failed}; their cells are left out")
+    _check_failures(result)
     return 0
 
 
@@ -201,9 +206,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="convergence sweep over an N range")
     common(p_sweep)
-    p_sweep.add_argument("--n", default=None, help="N range start:step:stop")
-    p_sweep.add_argument("--n-range", dest="n_range", default=None,
-                         help="N range start:step:stop (alias of --n)")
+    p_sweep.add_argument("--n", required=True, help="N range start:step:stop")
     p_sweep.add_argument("--format", choices=("csv", "text"), default="csv")
     p_sweep.add_argument("--ref-lambda", type=float, default=0.5,
                          help="reference lambda when no exact solution exists")
@@ -220,9 +223,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep" and (args.n is None) == (args.n_range is None):
-        print("error: sweep needs exactly one of --n / --n-range", file=sys.stderr)
-        return 2
     try:
         _check_output_dir(args)
         return args.func(args)

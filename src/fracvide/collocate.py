@@ -106,13 +106,13 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
 
     col = theta[:, None]
     eta = col * s
-    # a sample that overflows or divides by zero is reported by _finite
+    # a sample that overflows or divides by zero is reported by _samples
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        P = _finite("p", sample_values(tp.p1, theta), theta)
-        Q = _finite("q", sample_values(tp.q1, theta), theta)
-        G = _finite("g", sample_values(tp.g1, theta), theta)
-        k1 = _finite("K1", kernel_samples(tp.kbar1, col, eta), theta) * ratio / lam
-        k2 = _finite("K2", kernel_samples(tp.kbar2, col, eps * eta), theta) * ratio / lam
+        P = _samples("p", theta, sample_values, tp.p1, theta)
+        Q = _samples("q", theta, sample_values, tp.q1, theta)
+        G = _samples("g", theta, sample_values, tp.g1, theta)
+        k1 = _samples("K1", theta, kernel_samples, tp.kbar1, col, eta) * ratio / lam
+        k2 = _samples("K2", theta, kernel_samples, tp.kbar2, col, eps * eta) * ratio / lam
     C, D_undelayed = basis_quadrature(basis, eta, np.stack([w * k1, w * k2]))
     E = antiderivative_matrix(n, lam, alpha_c, beta_c, m)
     R = basis_matrix(basis, eps * theta)
@@ -145,9 +145,18 @@ def antiderivative_matrix(n, lam, alpha_c, beta_c, m):
     return E
 
 
-def _finite(name, samples, theta):
-    """Return samples (one row per node theta_i) or raise ValueError naming
-    the coefficient and the first node where a sample is not finite."""
+def _samples(name, theta, sample, f, *points):
+    """sample(f, *points), one row per node theta_i, for coefficient name.
+
+    Raises ValueError naming the coefficient when f cannot take arrays (it
+    raises TypeError on them), or naming it and the first node where a
+    sample is not finite.
+    """
+    try:
+        samples = sample(f, *points)
+    except TypeError as err:
+        raise ValueError(f"coefficient {name} must take numpy arrays and evaluate "
+                         f"elementwise (wrap scalar code in numpy.vectorize): {err}") from err
     bad = ~np.isfinite(samples).reshape(len(theta), -1).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import ExprEvalError
 from .specfun import frac_gauss_jacobi
 
 # relative threshold on |z - z_j| for snapping to the Kronecker value
@@ -158,12 +157,13 @@ def _basis_row(basis, theta):
 
 
 def eval_basis(basis, j, theta):
-    """Value of the j-th basis function at theta (Kronecker on the nodes)."""
+    """Value of the j-th basis function at theta (Kronecker on the nodes);
+    scalar in, scalar out, and one value per point for an array."""
     if not 0 <= j <= basis.n:
         raise IndexError(f"basis index {j} out of range 0..{basis.n}")
     if np.ndim(theta) == 0:
         return float(_basis_row(basis, float(theta))[j])
-    return float(basis_matrix(basis, theta)[0, j])
+    return basis_matrix(basis, np.ravel(theta))[:, j].reshape(np.shape(theta))
 
 
 def interpolate(basis, values, theta):
@@ -195,23 +195,13 @@ def lebesgue_constant(basis, grid_size):
 def sample_values(f, *points):
     """Evaluate f elementwise on the broadcast of the point arrays.
 
-    f is called once with the arrays. A callable that raises TypeError or
-    ValueError on arrays, or returns a value of another shape, is taken to
-    be scalar-only and is called once per point instead; a domain error of
-    a compiled expression is raised as it is.
+    f is called once with the arrays; a result of another shape, such as
+    the constant of lambda t: 0.0, is broadcast to theirs.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     shape = np.broadcast_shapes(*(p.shape for p in points))
-    try:
-        out = np.asarray(f(*points), dtype=float)
-        if out.shape == shape:
-            return out
-    except ExprEvalError:
-        raise
-    except (TypeError, ValueError):
-        pass
-    flat = [np.broadcast_to(p, shape).flat for p in points]
-    return np.array([float(f(*values)) for values in zip(*flat)]).reshape(shape)
+    out = np.asarray(f(*points), dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def weighted_l2_norm(f, alpha, beta, lam, m_points=200):

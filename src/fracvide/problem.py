@@ -25,9 +25,11 @@ from .specfun import frac_gauss_jacobi
 class ProblemSpec:
     """One VIDE instance.
 
-    Coefficient functions take arrays and evaluate elementwise (the kernels
-    broadcast their two arguments). A scalar-only callable still works: it
-    is called once per point instead (fracbasis.sample_values).
+    Coefficient functions take numpy arrays and evaluate elementwise (the
+    kernels broadcast their two arguments); a constant result is broadcast.
+    Scalar-only code, such as a math.sin call, can be adapted with
+    numpy.vectorize; assemble rejects a callable that raises TypeError on
+    arrays, naming the coefficient.
     """
 
     mu: float

@@ -113,11 +113,14 @@ def test_sweep_zero_step_usage_error(capsys):
 
 
 def test_sweep_needs_exactly_one_grid_flag(capsys):
-    code, _, stderr = run(["sweep", "--problem", "ex1"], capsys)
-    assert code == 2
-    code, _, stderr = run(["sweep", "--problem", "ex1", "--n", "4:2:8",
-                           "--n-range", "4:2:8"], capsys)
-    assert code == 2
+    # --n is required, and there is no --n-range
+    for argv in (["sweep", "--problem", "ex1"],
+                 ["sweep", "--problem", "ex1", "--n-range", "4:2:8"],
+                 ["sweep", "--problem", "ex1", "--n", "4:2:8", "--n-range", "4:2:8"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
 
 
 def test_sweep_text_format(tmp_path, capsys):
@@ -229,7 +232,7 @@ def test_reproduce_tables_match_independent_sweeps(name, tmp_path, capsys):
             assert stdout.splitlines()[0] == f"classification: {alone.rate_class} (fitted rate {rate})"
 
 
-def test_reproduce_reports_a_failed_degree(tmp_path, capsys, monkeypatch):
+def _fail_at_8(monkeypatch):
     import fracvide.analysis as analysis
 
     real = analysis.assemble
@@ -240,6 +243,23 @@ def test_reproduce_reports_a_failed_degree(tmp_path, capsys, monkeypatch):
         return real(tp, n, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "assemble", fail_at_8)
+
+
+def test_sweep_reports_a_failed_degree(tmp_path, capsys, monkeypatch):
+    _fail_at_8(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run(["sweep", "--problem", "ex1", "--lambda", "0.5",
+                                "--n", "4:2:12", "--out", str(out)], capsys)
+    assert code == 1
+    assert "n=8 failed: injected failure" in stderr.splitlines()
+    assert stderr.splitlines()[-1] == "error: ex1: failed at n = 8; their rows are left out"
+    assert "classification: " in stdout
+    rows = out.read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["4", "6", "10", "12"]
+
+
+def test_reproduce_reports_a_failed_degree(tmp_path, capsys, monkeypatch):
+    _fail_at_8(monkeypatch)
     code, stdout, stderr = run(["reproduce", "--problem", "ex1", "--out", str(tmp_path)], capsys)
     assert code == 1
     assert "n=8 failed: injected failure" in stderr.splitlines()

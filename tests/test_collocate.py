@@ -432,6 +432,28 @@ def test_assemble_names_non_finite_kernel():
         assemble(tp, 6, 1.0)
 
 
+@pytest.mark.parametrize("name, scalar_only, arrays", [
+    ("p", dict(p1=lambda theta: math.sin(theta)), dict(p1=np.sin)),
+    ("K1", dict(k1=lambda theta, eta: math.sin(theta * eta)),
+     dict(k1=lambda theta, eta: np.sin(theta * eta))),
+])
+def test_assemble_names_a_coefficient_that_cannot_take_arrays(name, scalar_only, arrays):
+    # math.sin raises TypeError on an array; numpy.vectorize adapts it
+    with pytest.raises(ValueError, match=rf"^coefficient {name} must take numpy arrays"):
+        assemble(make_tp(**scalar_only), 6, 0.5)
+    adapted = assemble(make_tp(**{key: np.vectorize(f) for key, f in scalar_only.items()}), 6, 0.5)
+    want = assemble(make_tp(**arrays), 6, 0.5)
+    for got, ref in ((adapted.P, want.P), (adapted.C, want.C)):
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+
+def test_config_domain_error_keeps_its_type_and_message():
+    spec = parse_problem_config("mu = 1/2\ngamma = 1\neps = 0.5\nT = 1\ny0 = 0\n"
+                                "p = ln(t - 0.5)\nq = t\ng = t\n")
+    with pytest.raises(exprlang.ExprEvalError, match=r"^ln of non-positive value -0\.4"):
+        assemble(transform(spec), 6, 0.5)
+
+
 # the quarter-power problem of perfbench/workloads.py, with its seed-7 constants
 QUARTER_POWER = """
 mu = 1/4

@@ -200,7 +200,7 @@ def test_sup_norm_parabola():
 
 
 def test_sup_norm_dense_grid_bound():
-    val = sup_norm(lambda t: math.sin(10.0 * t))
+    val = sup_norm(lambda t: np.sin(10.0 * t))
     assert 0.999 <= val <= 1.0
 
 
@@ -238,6 +238,17 @@ def test_scalar_and_array_evaluation_agree_bitwise(lam):
     # on the nodes both paths give the nodal values exactly
     assert np.array_equal(interpolate(b, values, b.nodes), values)
     assert [interpolate(b, values, float(t)) for t in b.nodes] == values.tolist()
+
+
+def test_eval_basis_on_an_array_gives_one_value_per_point():
+    b = build_basis(6, -0.5, -0.5, 0.5)
+    points = np.array([0.1, 0.5, b.nodes[2], 1.0])
+    got = eval_basis(b, 2, points)
+    assert got.shape == (4,)
+    assert np.array_equal(got, basis_matrix(b, points)[:, 2])
+    assert got[2] == 1.0
+    assert eval_basis(b, 2, points.reshape(2, 2)).shape == (2, 2)
+    assert np.array_equal(eval_basis(b, 2, [[0.1]]), [[eval_basis(b, 2, 0.1)]])
 
 
 def test_basis_quadrature_matches_basis_matrix():
@@ -298,11 +309,18 @@ def test_small_lambda_basis_keeps_distinct_z_nodes():
     assert np.max(np.abs(interpolate(b, np.ones(131), grid) - 1.0)) <= 1e-13
 
 
-def test_sample_values_falls_back_for_scalar_only_callables():
+def test_sample_values_rejects_scalar_only_callables():
+    # one call on the arrays: a scalar-only callable fails; numpy.vectorize adapts it
     pts = np.linspace(0.0, 2.0, 12).reshape(3, 4)
-    assert np.array_equal(sample_values(math.sin, pts), [[math.sin(p) for p in row] for row in pts])
+    with pytest.raises(TypeError):
+        sample_values(math.sin, pts)
     col = np.array([[0.5], [1.5], [2.5]])
     k = lambda t, s: math.exp(-t * s)
+    with pytest.raises(TypeError):
+        sample_values(k, col, pts)
     want = [[k(a, b) for b in row] for a, row in zip(col[:, 0], pts)]
-    assert np.array_equal(sample_values(k, col, pts), want)
-    assert sample_values(lambda t: 0.0, pts).shape == (3, 4)
+    assert np.array_equal(sample_values(np.vectorize(k), col, pts), want)
+    # a constant is broadcast to the points' shape, as a fresh array
+    zeros = sample_values(lambda t: 0.0, pts)
+    assert zeros.shape == (3, 4) and zeros.flags.writeable
+    assert np.array_equal(sample_values(lambda t, s: 2.0, col, pts), np.full((3, 4), 2.0))
