@@ -149,12 +149,17 @@ def _samples(name, theta, sample, f, *points):
     """sample(f, *points), one row per node theta_i, for coefficient name.
 
     Raises ValueError naming the coefficient when f cannot take arrays (it
-    raises TypeError on them), or naming it and the first node where a
-    sample is not finite.
+    raises TypeError or a plain ValueError on them, as scalar code that
+    tests an array's truth does), or naming it and the first node where a
+    sample is not finite. A subclass of ValueError, such as a config
+    expression's domain error, says what went wrong itself and passes
+    unchanged.
     """
     try:
         samples = sample(f, *points)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
+        if isinstance(err, ValueError) and type(err) is not ValueError:
+            raise
         raise ValueError(f"coefficient {name} must take numpy arrays and evaluate "
                          f"elementwise (wrap scalar code in numpy.vectorize): {err}") from err
     bad = ~np.isfinite(samples).reshape(len(theta), -1).all(axis=1)

@@ -18,6 +18,8 @@ from .specfun import frac_gauss_jacobi
 _NODE_HIT_RTOL = 1e-15
 # float64 entries in the work array of basis_quadrature (2 MB)
 _WORK_ENTRIES = 1 << 18
+# float64 entries in the products of one block of points in interpolate (512 KB)
+_PRODUCT_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,18 +65,21 @@ def build_basis(n, alpha, beta, lam):
 def basis_matrix(basis, thetas):
     """Evaluate all basis functions at the given points.
 
-    Returns an array of shape (len(thetas), n+1) whose rows sum to 1.
+    thetas may have any shape, and a scalar counts as one point of shape
+    (1,). The result has shape thetas.shape + (n+1,) and sums to 1 along
+    its last axis. It is built in place: the differences z - z_j become
+    the barycentric terms and then the basis values in one array.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     z = thetas ** basis.lam if basis.lam != 1.0 else thetas
-    diff = z[:, None] - basis.z_nodes[None, :]
+    out = np.subtract.outer(z, basis.z_nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = basis.bary_weights[None, :] / diff
-        out = terms / np.sum(terms, axis=1, keepdims=True)
+        np.divide(basis.bary_weights, out, out=out)
+        out /= np.sum(out, axis=-1, keepdims=True)
     node = _node_hits(basis, z)
-    rows = np.nonzero(node >= 0)[0]
-    out[rows] = 0.0
-    out[rows, node[rows]] = 1.0
+    hits = np.nonzero(node >= 0)
+    out[hits] = 0.0
+    out[hits + (node[hits],)] = 1.0
     return out
 
 
@@ -163,17 +168,20 @@ def eval_basis(basis, j, theta):
         raise IndexError(f"basis index {j} out of range 0..{basis.n}")
     if np.ndim(theta) == 0:
         return float(_basis_row(basis, float(theta))[j])
-    return basis_matrix(basis, np.ravel(theta))[:, j].reshape(np.shape(theta))
+    return basis_matrix(basis, theta)[..., j]
 
 
 def interpolate(basis, values, theta):
     """Evaluate sum_j values[..., j] * F_j(theta); scalar in, scalar out.
 
     values holds the n+1 nodal values of one function, or of several
-    stacked along leading axes, which then lead the result; the basis is
-    evaluated once for all of them. Each point's sum is formed on its own,
-    so a point gives the same value bit for bit whether it is passed alone
-    or in an array, and a function whether alone or stacked.
+    stacked along leading axes; theta may have any shape. The result has
+    shape values.shape[:-1] + theta.shape. The basis is evaluated once for
+    all the functions, and its products with their values are formed for a
+    block of points at a time, in at most _PRODUCT_ENTRIES entries. Each
+    point's sum is formed on its own, so a point gives the same value bit
+    for bit whether it is passed alone or in an array, and a function
+    whether alone or stacked.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (basis.n + 1,):
@@ -181,7 +189,13 @@ def interpolate(basis, values, theta):
     if np.ndim(theta) == 0:
         out = (_basis_row(basis, float(theta)) * values).sum(axis=-1)
         return float(out) if values.ndim == 1 else out
-    return np.sum(basis_matrix(basis, theta) * values[..., None, :], axis=-1)
+    matrix = basis_matrix(basis, theta)
+    rows = matrix.reshape(-1, basis.n + 1)
+    out = np.empty(values.shape[:-1] + (len(rows),))
+    step = max(1, _PRODUCT_ENTRIES // max(1, values.size))
+    for r0 in range(0, len(rows), step):
+        out[..., r0:r0 + step] = np.sum(rows[r0:r0 + step] * values[..., None, :], axis=-1)
+    return out.reshape(values.shape[:-1] + matrix.shape[:-1])
 
 
 def lebesgue_constant(basis, grid_size):

