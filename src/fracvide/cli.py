@@ -51,6 +51,13 @@ def _parse_n_range(text):
     return list(range(start, stop + 1, step))
 
 
+def _positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _check_output_dir(args):
     """Fail before any solve when the directory that output goes to is missing:
     --out itself for reproduce, the parent of the --out file otherwise."""
@@ -116,6 +123,8 @@ def run_sweep(args):
         reference = self_reference(spec, args.ref_lambda, args.ref_n, args.alpha, args.beta)
     result = sweep(spec, args.lam, n_values, args.alpha, args.beta,
                    reference=reference, quad_points=args.quad_points)
+    if not result.rows:
+        _check_failures(result)     # every degree failed: write no file
     text = emit_table(result, args.format)
     out = args.out or sweep_filename(result)
     with open(out, "w", encoding="utf-8") as fh:
@@ -193,7 +202,7 @@ def build_parser():
         p.add_argument("--beta", type=float, default=-0.5,
                        help="collocation Jacobi exponent beta (default -0.5)")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--quad-points", type=int, default=None,
+        p.add_argument("--quad-points", type=_positive_int, default=None,
                        help="points for the error-norm quadrature "
                             "(default max(200, 4(N+1)))")
         p.add_argument("--gamma-override", type=float, default=None,

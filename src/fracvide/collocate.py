@@ -18,8 +18,8 @@ R[l, j] with R = basis_matrix(basis, eps * theta). Hence D = D~ R, where
 D~ is the K2-weighted quadrature at the points of C, and H = eps E R.
 
 The antiderivative matrix E depends on the discretization alone, not on
-the problem, so it is built once per (N, lam, alpha_c, beta_c, m) and
-shared read-only between systems.
+the problem, and its rule, like the kernel rule, has N+1 points. So E is
+built once per (N, lam, alpha_c, beta_c) and shared read-only.
 """
 
 import functools
@@ -83,23 +83,18 @@ class CollocationSystem:
     anti_rule: object
 
 
-def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
-    """Assemble the collocation system for the transformed problem tp.
-
-    quad_points overrides the (N+1)-point kernel/antiderivative rules for
-    oversampling diagnostics; the basis and collocation nodes are unchanged.
-    """
+def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5):
+    """Assemble the collocation system for the transformed problem tp."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
     mu, gam, eps = tp.mu, tp.gamma, tp.eps
-    m = (n + 1) if quad_points is None else int(quad_points)
 
     basis = build_basis(n, alpha_c, beta_c, lam)
     theta = basis.nodes
     # the kernel rule in the xi variable: weight (1-xi)^-mu xi^((mu+gam)/lam - 1)
-    kernel_rule = frac_gauss_jacobi(m, -mu, (mu + gam) / lam - 1.0, 1.0)
+    kernel_rule = frac_gauss_jacobi(n + 1, -mu, (mu + gam) / lam - 1.0, 1.0)
     xi, w = kernel_rule.nodes, kernel_rule.weights
     s = xi ** (1.0 / lam) if lam != 1.0 else xi            # eta_i(xi) = theta_i * s
     ratio = singular_ratio(xi, lam, mu)
@@ -114,7 +109,7 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
         k1 = _samples("K1", theta, kernel_samples, tp.kbar1, col, eta) * ratio / lam
         k2 = _samples("K2", theta, kernel_samples, tp.kbar2, col, eps * eta) * ratio / lam
     C, D_undelayed = basis_quadrature(basis, eta, np.stack([w * k1, w * k2]))
-    E = antiderivative_matrix(n, lam, alpha_c, beta_c, m)
+    E = antiderivative_matrix(n, lam, alpha_c, beta_c)
     R = basis_matrix(basis, eps * theta)
     D = D_undelayed @ R
     H = eps * (E @ R)
@@ -123,20 +118,20 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
                              beta_c=float(beta_c), basis=basis, P=P, Q=Q, G=G, U0=U0,
                              C=C, D=D, E=E, H=H,
                              kernel_rule=kernel_rule,
-                             anti_rule=frac_gauss_jacobi(m, 0.0, 1.0 / lam - 1.0, 1.0))
+                             anti_rule=frac_gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0, 1.0))
 
 
 @functools.lru_cache(maxsize=32)
-def antiderivative_matrix(n, lam, alpha_c, beta_c, m):
-    """E[i, j] = int_0^theta_i F_j(theta) dtheta by the m-point rule in xi.
+def antiderivative_matrix(n, lam, alpha_c, beta_c):
+    """E[i, j] = int_0^theta_i F_j(theta) dtheta by the (N+1)-point rule in xi.
 
-    E depends only on the discretization, so it is memoised on the
-    arguments and shared between systems; the array is read-only. At most
-    32 matrices are kept, 17 MB at N = 256.
+    E depends only on the discretization (N, lam, alpha_c, beta_c), so it
+    is memoised on those four arguments and shared between systems; the
+    array is read-only. At most 32 matrices are kept, 17 MB at N = 256.
     """
     basis = build_basis(n, alpha_c, beta_c, lam)
     # the rule in the xi variable: weight xi**(1/lam - 1)
-    rule = frac_gauss_jacobi(m, 0.0, 1.0 / lam - 1.0, 1.0)
+    rule = frac_gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0, 1.0)
     xih, wh = rule.nodes, rule.weights
     sh = xih ** (1.0 / lam) if lam != 1.0 else xih
     col = basis.nodes[:, None]

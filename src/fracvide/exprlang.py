@@ -196,10 +196,9 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 
 
-def parse(source_or_tokens):
-    """Parse a source string (or token list) into an Expr."""
-    tokens = tokenize(source_or_tokens) if isinstance(source_or_tokens, str) else source_or_tokens
-    parser = _Parser(tokens)
+def parse(source):
+    """Parse a source string into an Expr."""
+    parser = _Parser(tokenize(source))
     expr = parser.parse_expression()
     trailing = parser.peek()
     if trailing.kind != "end":

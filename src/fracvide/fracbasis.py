@@ -16,7 +16,7 @@ from .specfun import frac_gauss_jacobi
 
 # relative threshold on |z - z_j| for snapping to the Kronecker value
 _NODE_HIT_RTOL = 1e-15
-# float64 entries in the work array of basis_quadrature (2 MB)
+# float64 entries in the work array of basis_quadrature (2 MB), or one row if more
 _WORK_ENTRIES = 1 << 18
 # float64 entries in the products of one block of points in interpolate (512 KB)
 _PRODUCT_ENTRIES = 1 << 16
@@ -90,11 +90,12 @@ def basis_quadrature(basis, points, weights):
     more weight sets over the same points. The result has shape
     (..., rows, n+1) with entry [..., r, j] = sum_k weights[..., r, k] *
     F_j(points[r, k]). The reciprocal differences 1/(z - z_j) are formed
-    block by block in one work array of at most 2 MB; the barycentric
-    denominators are their products with the barycentric weights, and each
-    row is contracted with matmul, once per weight set, so a set gives the
-    same bits stacked as alone. A point on a node (as in basis_matrix) adds
-    its weight to that node's column alone.
+    for blocks of whole rows in one work array of 2 MB, or of one row when
+    a row's m * (n+1) entries need more; the barycentric denominators are
+    their products with the barycentric weights, and each row is contracted
+    with matmul, once per weight set, so a set gives the same bits stacked
+    as alone. A point on a node (as in basis_matrix) adds its weight to
+    that node's column alone.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -111,26 +112,23 @@ def basis_quadrature(basis, points, weights):
     # matmul writes the block several times faster than a broadcast subtract
     z1 = np.stack([z, np.ones_like(z)], axis=-1)
     minus_nodes = np.stack([np.ones(size), -basis.z_nodes])
-    # blocks of whole rows when a row fits the work array, else parts of a row
-    k_block = min(m, max(1, _WORK_ENTRIES // size))
-    r_block = min(rows, max(1, _WORK_ENTRIES // (m * size))) if k_block == m else 1
-    work = np.empty(r_block * k_block * size)
-    out = np.zeros((len(sets), rows, size))
+    # blocks of whole rows, at least one row per block
+    r_block = min(rows, max(1, _WORK_ENTRIES // (m * size)))
+    work = np.empty(r_block * m * size)
+    out = np.empty((len(sets), rows, size))
     for r0 in range(0, rows, r_block):
         r1 = min(rows, r0 + r_block)
-        for k0 in range(0, m, k_block):
-            k1 = min(m, k0 + k_block)
-            recip = work[:(r1 - r0) * (k1 - k0) * size].reshape(r1 - r0, k1 - k0, size)
-            np.matmul(z1[r0:r1, k0:k1], minus_nodes, out=recip)
-            hit = node[r0:r1, k0:k1] >= 0
-            recip[hit] = 1.0            # a point on a node gets no reciprocals
-            np.divide(1.0, recip, out=recip)
-            recip[hit] = 0.0
-            denom = recip @ basis.bary_weights
-            denom[hit] = 1.0
-            for w, o in zip(sets, out):
-                coef = w[r0:r1, k0:k1] / denom
-                o[r0:r1] += np.matmul(coef[:, None, :], recip)[:, 0, :]
+        recip = work[:(r1 - r0) * m * size].reshape(r1 - r0, m, size)
+        np.matmul(z1[r0:r1], minus_nodes, out=recip)
+        hit = node[r0:r1] >= 0
+        recip[hit] = 1.0            # a point on a node gets no reciprocals
+        np.divide(1.0, recip, out=recip)
+        recip[hit] = 0.0
+        denom = recip @ basis.bary_weights
+        denom[hit] = 1.0
+        for w, o in zip(sets, out):
+            coef = w[r0:r1] / denom
+            o[r0:r1] = np.matmul(coef[:, None, :], recip)[:, 0, :]
     out *= basis.bary_weights
     r, k = np.nonzero(node >= 0)
     for w, o in zip(sets, out):

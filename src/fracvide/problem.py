@@ -151,10 +151,6 @@ def manufactured_g(spec, n_quad=200):
     return g
 
 
-def _with_manufactured_g(spec, n_quad=200):
-    return replace(spec, g=manufactured_g(spec, n_quad=n_quad))
-
-
 def builtin(name, gamma_override=None):
     """One of the five built-in benchmark problems ex1..ex5.
 
@@ -176,7 +172,7 @@ def builtin(name, gamma_override=None):
             exact_prime=lambda t: np.exp(-(t ** (1.0 - mu))) * (1.0 - (1.0 - mu) * t ** (1.0 - mu)),
             name="ex1",
         )
-        return _with_manufactured_g(spec)
+        return replace(spec, g=manufactured_g(spec))
     if gamma_override is not None:
         raise ValueError("gamma_override only applies to ex1")
     if name in ("ex2", "ex3"):
@@ -203,7 +199,7 @@ def builtin(name, gamma_override=None):
                 exact_prime=lambda t: np.exp(-t) * (t ** w1 * (1.0 + w1 - t) + t ** w2 * (1.0 + w2 - t)),
                 name="ex3",
             )
-        return _with_manufactured_g(spec)
+        return replace(spec, g=manufactured_g(spec))
     if name in ("ex4", "ex5"):
         mu = 0.5 if name == "ex4" else 2.0 - math.sqrt(2.0)
         return ProblemSpec(
@@ -310,7 +306,7 @@ def parse_problem_config(text, name="config"):
     if errors:
         raise ValueError("invalid problem: " + "; ".join(errors))
     if has_exact:
-        spec = _with_manufactured_g(spec)
+        spec = replace(spec, g=manufactured_g(spec))
     return spec
 
 

@@ -27,16 +27,15 @@ def transform_kernel(kbar, lam, mu):
     return ktil
 
 
-def assemble_rowwise(tp, n, lam, alpha_c=-0.5, beta_c=-0.5, quad_points=None):
+def assemble_rowwise(tp, n, lam, alpha_c=-0.5, beta_c=-0.5):
     """C, D, E, H of the collocation system, one row at a time.
 
     Needs kernels that accept an array second argument (the built-ins do).
     """
     mu, gam, eps = tp.mu, tp.gamma, tp.eps
-    m = (n + 1) if quad_points is None else int(quad_points)
     basis = build_basis(n, alpha_c, beta_c, lam)
-    kernel_rule = frac_gauss_jacobi(m, -mu, (mu + gam) / lam - 1.0, 1.0)
-    anti_rule = frac_gauss_jacobi(m, 0.0, 1.0 / lam - 1.0, 1.0)
+    kernel_rule = frac_gauss_jacobi(n + 1, -mu, (mu + gam) / lam - 1.0, 1.0)
+    anti_rule = frac_gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0, 1.0)
     xi, w = kernel_rule.nodes, kernel_rule.weights
     xih, wh = anti_rule.nodes, anti_rule.weights
     sh = xih ** (1.0 / lam)

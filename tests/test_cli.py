@@ -273,6 +273,43 @@ def test_reproduce_reports_a_failed_degree(tmp_path, capsys, monkeypatch):
         assert [row.split(",")[0] for row in rows[1:]] == ["4", "6", "10", "12"]
 
 
+def test_sweep_where_every_degree_fails_names_the_cause(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, stderr = run(["sweep", "--problem", "ex1", "--lambda", "0",
+                           "--n", "4:2:8", "--out", str(out)], capsys)
+    assert code == 1
+    lines = stderr.splitlines()
+    for n in (4, 6, 8):
+        assert f"n={n} failed: lam must lie in (0, 1], got 0.0" in lines
+    assert lines[-1] == "error: ex1: failed at n = 4, 6, 8; their rows are left out"
+    assert "empty sweep result" not in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve", "--n", "4"], ["sweep", "--n", "4:2:8"],
+                                     ["reproduce"]])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_quad_points_must_be_positive_before_any_solve(command, value, tmp_path, capsys,
+                                                       monkeypatch):
+    import fracvide.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve ran before --quad-points was checked")
+
+    for name in ("assemble", "sweep", "self_reference"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command[0], "--problem", "ex1", *command[1:], "--quad-points", value,
+            "--out", str(out if command[0] == "reproduce" else out / "result")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument --quad-points: must be a positive integer, got '{value}'" \
+        in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_reproduce_rejects_config_path(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(CONFIG)

@@ -276,14 +276,6 @@ def test_assemble_validates_arguments():
         assemble(tp, 4, 1.7)
 
 
-def test_oversampled_quadrature_consistent():
-    # oversampling the kernel rules must not change a resolved solve much
-    tp = transform(builtin("ex1"))
-    base = solve(assemble(tp, 10, 0.5))
-    over = solve(assemble(tp, 10, 0.5, quad_points=22))
-    assert np.max(np.abs(base.u - over.u)) <= 1e-9
-
-
 @pytest.mark.parametrize("mu,eps", [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
 def test_boundary_parameters_same_machinery(mu, eps):
     # mu = 0 (no singularity) and eps = 1 (no delay) run through the same
@@ -309,9 +301,9 @@ def _max_rel_diff(a, b):
     return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
 
 
-def _assert_matches_rowwise(tp, n, lam, quad_points=None):
-    system = assemble(tp, n, lam, quad_points=quad_points)
-    C, D, E, H = assemble_rowwise(tp, n, lam, quad_points=quad_points)
+def _assert_matches_rowwise(tp, n, lam):
+    system = assemble(tp, n, lam)
+    C, D, E, H = assemble_rowwise(tp, n, lam)
     for got, want in ((system.C, C), (system.D, D), (system.E, E), (system.H, H)):
         assert _max_rel_diff(got, want) <= 1e-14
     oracle = solve(dataclasses.replace(system, C=C, D=D, E=E, H=H))
@@ -338,12 +330,12 @@ def fresh_antiderivative_cache():
 @pytest.mark.parametrize("work_entries", [7, 100, 400])
 def test_blocked_assembly_split_rows_match_oracle(monkeypatch, fresh_antiderivative_cache,
                                                   work_entries):
-    # a work array smaller than one row splits the rows into parts; the E
-    # cache is emptied after the patch so that E is built with split rows too
+    # a work array smaller than one row gives blocks of one row; the E
+    # cache is emptied after the patch so that E is built in one-row blocks too
     monkeypatch.setattr(fracbasis, "_WORK_ENTRIES", work_entries)
     collocate.antiderivative_matrix.cache_clear()
     _assert_matches_rowwise(transform(builtin("ex2")), 18, 0.5)
-    _assert_matches_rowwise(transform(builtin("ex4")), 6, 1.0, quad_points=11)
+    _assert_matches_rowwise(transform(builtin("ex4")), 6, 1.0)
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
@@ -382,11 +374,11 @@ def test_assemble_makes_two_basis_quadrature_passes(monkeypatch):
         assert len(calls) == 1
 
 
-def _direct_antiderivative(n, lam, m=None):
+def _direct_antiderivative(n, lam):
     """E by one basis_quadrature call with the formula assemble used before
     E was memoised."""
     basis = fracbasis.build_basis(n, -0.5, -0.5, lam)
-    rule = frac_gauss_jacobi(n + 1 if m is None else m, 0.0, 1.0 / lam - 1.0, 1.0)
+    rule = frac_gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0, 1.0)
     sh = rule.nodes ** (1.0 / lam) if lam != 1.0 else rule.nodes
     col = basis.nodes[:, None]
     return fracbasis.basis_quadrature(basis, col * sh, (col / lam) * rule.weights)
@@ -404,17 +396,6 @@ def test_problems_at_one_discretization_share_one_read_only_E(lam):
     assert not np.shares_memory(first.H, first.E)
     assert np.array_equal(second.H, second.tp.eps * (first.E @ fracbasis.basis_matrix(
         first.basis, second.tp.eps * first.basis.nodes)))
-
-
-def test_quad_points_override_gets_its_own_E():
-    tp = transform(builtin("ex3"))
-    plain = assemble(tp, 10, 0.5)
-    over = assemble(tp, 10, 0.5, quad_points=22)
-    assert over.E is not plain.E
-    assert over.anti_rule.n_points == 22
-    assert np.array_equal(over.E, _direct_antiderivative(10, 0.5, m=22))
-    assert np.array_equal(plain.E, _direct_antiderivative(10, 0.5))
-    assert assemble(tp, 10, 0.5, quad_points=22).E is over.E
 
 
 def test_assemble_rejects_underflowed_node():
@@ -509,11 +490,11 @@ def test_config_assembly_calls_each_expression_a_bounded_number_of_times(monkeyp
 
     monkeypatch.setattr(exprlang, "compile_function", counting)
     counts = []
-    for n, quad_points in ((4, None), (16, None), (16, 64)):
+    for n in (4, 16):
         calls = {}
         tp = transform(parse_problem_config(QUARTER_POWER))
-        assemble(tp, n, 0.25, quad_points=quad_points)
+        assemble(tp, n, 0.25)
         counts.append(calls)
-    # one array call per sampling site: independent of N and the rule size
-    assert counts[0] == counts[1] == counts[2]
+    # one array call per sampling site: independent of N
+    assert counts[0] == counts[1]
     assert len(counts[0]) == 6 and max(counts[0].values()) <= 4

@@ -74,6 +74,9 @@ GOLDEN = [
     ("exp(-s^(1-mu))", {"s": 1.0, "mu": 0.5}, math.exp(-1.0)),
     ("1e-3*1e3", {}, 1.0),
     ("2e2 - 0.5e1", {}, 195.0),
+    (".5", {}, 0.5),
+    ("1.", {}, 1.0),
+    ("2.e3", {}, 2000.0),
 ]
 
 

@@ -274,7 +274,7 @@ def test_basis_quadrature_node_hit_is_kronecker():
 
 @pytest.mark.parametrize("work_entries", [None, 7, 100, 400])
 def test_basis_quadrature_stacked_weights_match_one_call_per_set(monkeypatch, work_entries):
-    # a work array smaller than one row splits the rows into parts
+    # a work array smaller than one row gives blocks of one row
     if work_entries is not None:
         monkeypatch.setattr(fracbasis, "_WORK_ENTRIES", work_entries)
     rng = np.random.default_rng(11)
