@@ -7,6 +7,7 @@ error stream, and the exit status is 0 only when everything succeeded.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,9 +230,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call and kept."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_output_dir(args)
         return args.func(args)

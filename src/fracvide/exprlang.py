@@ -4,7 +4,8 @@ Grammar (see docs/expression-grammar.md): numbers, named variables,
 unary minus, binary + - * / ^ with ^ right-associative, and the function
 calls exp, ln, sin, cos, sqrt, pow, beta, abs. Parsing is a Pratt
 (precedence-climbing) parser with positions preserved for error messages.
-An expression is compiled once to nested numpy closures that evaluate
+An expression is compiled once: its variable-free subexpressions are
+evaluated then, and the rest becomes nested numpy closures that evaluate
 elementwise on scalars or arrays in strict IEEE double arithmetic, and
 raise on domain violations, naming the first value at fault, instead of
 returning NaN.
@@ -174,7 +175,10 @@ class _Parser:
     def _prefix(self):
         tok = self.advance()
         if tok.kind == "num":
-            return Num(tok.value)
+            value = tok.value
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number {tok.text} is too large for a double", tok.pos)
+            return Num(value)
         if tok.kind == "ident":
             if self.peek().kind == "lparen":
                 self.advance()
@@ -213,41 +217,65 @@ def _first(mask, *values):
     return tuple(float(np.broadcast_to(v, mask.shape)[index]) for v in values)
 
 
+# The domain tests compare by ufunc calls, not operators: an operand may be a
+# Python float (a literal, pi, a scalar binding), and a ufunc returns a numpy
+# bool that has .any() and .all() even then.
+
 def _checked(name, value):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ExprEvalError(f"{name} produced a non-finite result")
     return value
 
 
 def _fn_exp(x):
     # exp overflows near 709.78; 709 keeps a margin, and NaN fails the test too
-    if not np.all(x < 709.0):
+    if not np.less(x, 709.0).all():
         raise ExprEvalError("exp produced a non-finite result")
     return np.exp(x)
 
 
 def _fn_ln(x):
-    bad = x <= 0.0
-    if np.any(bad):
+    bad = np.less_equal(x, 0.0)
+    if bad.any():
         raise ExprEvalError(f"ln of non-positive value {_first(bad, x)[0]}")
     return np.log(x)
 
 
 def _fn_sqrt(x):
-    bad = x < 0.0
-    if np.any(bad):
+    bad = np.less(x, 0.0)
+    if bad.any():
         raise ExprEvalError(f"sqrt of negative value {_first(bad, x)[0]}")
     return np.sqrt(x)
 
 
 def _power(base, exponent):
-    bad = (base < 0.0) & (exponent != np.round(exponent))
-    if np.any(bad):
+    bad = np.less(base, 0.0) & np.not_equal(exponent, np.round(exponent))
+    if bad.any():
         b, e = _first(bad, base, exponent)
         raise ExprEvalError(f"negative base {b} with non-integer exponent {e}")
-    if np.any((base == 0.0) & (exponent < 0.0)):
+    if (np.equal(base, 0.0) & np.less(exponent, 0.0)).any():
         raise ExprEvalError("zero raised to a negative power")
     return _checked("^", np.power(base, exponent))
+
+
+def _constant_power(exponent):
+    """_power with a constant exponent: whether it is an integer and whether
+    it is negative is decided here, so a call tests only the base."""
+    exponent = float(exponent)
+    fractional = bool(exponent != np.round(exponent))
+    negative = bool(exponent < 0.0)
+
+    def power(base):
+        if fractional:
+            bad = np.less(base, 0.0)
+            if bad.any():
+                raise ExprEvalError(f"negative base {_first(bad, base)[0]} "
+                                    f"with non-integer exponent {exponent}")
+        if negative and np.equal(base, 0.0).any():
+            raise ExprEvalError("zero raised to a negative power")
+        return _checked("^", np.power(base, exponent))
+
+    return power
 
 
 # Beta has no numpy ufunc; this applies the scalar one elementwise
@@ -255,15 +283,15 @@ _beta_elementwise = np.frompyfunc(_beta_fn, 2, 1)
 
 
 def _fn_beta(a, b):
-    bad = (a <= 0.0) | (b <= 0.0)
-    if np.any(bad):
+    bad = np.less_equal(a, 0.0) | np.less_equal(b, 0.0)
+    if bad.any():
         a0, b0 = _first(bad, a, b)
         raise ExprEvalError(f"beta requires positive arguments, got ({a0}, {b0})")
     return np.asarray(_beta_elementwise(a, b), dtype=float)
 
 
 def _divide(a, b):
-    if np.any(b == 0.0):
+    if np.equal(b, 0.0).any():
         raise ExprEvalError("division by zero")
     return _checked("/", np.divide(a, b))
 
@@ -284,11 +312,58 @@ _BINARY = {
     "-": lambda a, b: _checked("-", np.subtract(a, b)),
     "*": lambda a, b: _checked("*", np.multiply(a, b)),
     "/": _divide,
-    "^": _power,
 }
 
 
-def _compile(expr):
+def _function(call):
+    """The implementation of a Call; raises on an unknown name or a wrong arity."""
+    try:
+        arity, fn = _FUNCTIONS[call.name]
+    except KeyError:
+        raise ExprEvalError(f"unknown function {call.name!r}") from None
+    if len(call.args) != arity:
+        raise ExprEvalError(f"{call.name} takes {arity} argument(s), got {len(call.args)}")
+    return fn
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _run(compiled, env):
+    """compiled(env); overflow and invalid results are reported by the checks,
+    not as warnings."""
+    return compiled(env)
+
+
+def _fold(expr):
+    """expr with each subtree that holds no variable replaced by its value.
+
+    Such a subtree is evaluated once, here, by the same operations and
+    checks as at evaluation, so its value has the same bits. One whose
+    evaluation raises is kept, to raise at evaluation. pi and e are
+    variables, since a binding may override them. An unknown function or
+    a wrong arity raises here, in the order of the tree.
+    """
+    if isinstance(expr, Neg):
+        expr = Neg(_fold(expr.operand))
+        operands = (expr.operand,)
+    elif isinstance(expr, BinOp):
+        expr = BinOp(expr.op, _fold(expr.left), _fold(expr.right))
+        operands = (expr.left, expr.right)
+    elif isinstance(expr, Call):
+        _function(expr)
+        expr = Call(expr.name, tuple(_fold(a) for a in expr.args))
+        operands = expr.args
+    else:
+        return expr
+    if not all(isinstance(a, Num) for a in operands):
+        return expr
+    try:
+        value = _run(_closure(expr), {})
+    except (ValueError, ArithmeticError):  # the checks, or an overflow in beta
+        return expr
+    return Num(float(value))
+
+
+def _closure(expr):
     """Turn an Expr into a closure of the variable bindings.
 
     Every operation is a numpy ufunc, so the closure evaluates elementwise on
@@ -301,6 +376,9 @@ def _compile(expr):
         return lambda env: value
     if isinstance(expr, Var):
         name = expr.name
+        if name in _CONSTANTS:
+            constant = _CONSTANTS[name]
+            return lambda env: env.get(name, constant)
 
         def var(env):
             try:
@@ -310,30 +388,30 @@ def _compile(expr):
 
         return var
     if isinstance(expr, Neg):
-        operand = _compile(expr.operand)
+        operand = _closure(expr.operand)
         return lambda env: np.negative(operand(env))
     if isinstance(expr, BinOp):
-        op, left, right = _BINARY[expr.op], _compile(expr.left), _compile(expr.right)
+        if expr.op == "^":
+            return _power_closure(expr.left, expr.right)
+        op, left, right = _BINARY[expr.op], _closure(expr.left), _closure(expr.right)
         return lambda env: op(left(env), right(env))
     if isinstance(expr, Call):
-        try:
-            arity, fn = _FUNCTIONS[expr.name]
-        except KeyError:
-            raise ExprEvalError(f"unknown function {expr.name!r}") from None
-        if len(expr.args) != arity:
-            raise ExprEvalError(f"{expr.name} takes {arity} argument(s), got {len(expr.args)}")
-        args = tuple(_compile(a) for a in expr.args)
+        fn = _function(expr)
+        if fn is _power:
+            return _power_closure(*expr.args)
+        args = tuple(_closure(a) for a in expr.args)
         return lambda env: fn(*[a(env) for a in args])
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _run(compiled, bindings):
-    """Evaluate a compiled closure with pi, e and the bindings, as float arrays."""
-    env = dict(_CONSTANTS)
-    env.update((name, np.asarray(value, dtype=float)) for name, value in bindings.items())
-    # overflow and invalid results are reported by the checks, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(compiled(env), dtype=float)
+def _power_closure(base, exponent):
+    """The closure of base^exponent, specialised when the exponent is a number."""
+    base = _closure(base)
+    if isinstance(exponent, Num):
+        power = _constant_power(exponent.value)
+        return lambda env: power(base(env))
+    exponent = _closure(exponent)
+    return lambda env: _power(base(env), exponent(env))
 
 
 def evaluate(expr, bindings=None):
@@ -341,7 +419,8 @@ def evaluate(expr, bindings=None):
 
     Bindings may be scalars or arrays; the result is a float when it is a
     single value and an array otherwise."""
-    out = _run(_compile(expr), bindings or {})
+    env = {name: np.asarray(value, dtype=float) for name, value in (bindings or {}).items()}
+    out = np.asarray(_run(_closure(_fold(expr)), env), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -382,16 +461,27 @@ def compile_function(source, variables):
     positional value is a scalar, and otherwise a new array of their
     broadcast shape.
     """
-    compiled = _compile(parse(source))
+    tree = _fold(parse(source))
+    compiled = _closure(tree)
     names = tuple(variables)
+    # any other root is a ufunc result, a new array; a variable is its binding
+    fresh = not isinstance(tree, Var)
 
     def fn(*values, **extra):
         if len(values) != len(names):
             raise TypeError(f"expected {len(names)} positional values for {names}")
-        bindings = dict(zip(names, values))
-        bindings.update(extra)
-        out = _run(compiled, bindings)
-        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-        return float(out) if not shape else np.array(np.broadcast_to(out, shape))
+        values = [np.asarray(v, dtype=float) for v in values]
+        env = dict(zip(names, values))
+        for name, value in extra.items():
+            # the ufuncs take a Python float as a double; it needs no array
+            env[name] = value if type(value) is float else np.asarray(value, dtype=float)
+        out = _run(compiled, env)
+        shape = (values[0].shape if len(values) == 1
+                 else np.broadcast_shapes(*(v.shape for v in values)))
+        if not shape:
+            return float(out)
+        if type(out) is np.ndarray and out.shape == shape:
+            return out if fresh else out.copy()
+        return np.array(np.broadcast_to(out, shape))
 
     return fn

@@ -60,6 +60,11 @@ def validate(spec):
         problems.append(f"eps must lie in (0, 1], got {spec.eps}")
     if spec.T <= 0.0:
         problems.append(f"T must be positive, got {spec.T}")
+    # the range tests above already reject a non-finite mu or eps
+    for name in ("gamma", "T", "y0"):
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            problems.append(f"{name} must be finite, got {value}")
     return problems
 
 

@@ -355,3 +355,29 @@ def test_missing_output_directory_fails_before_solving(tmp_path, capsys, monkeyp
         assert stdout == ""
     assert solves == []
     assert not missing.exists()
+
+
+def test_main_builds_its_parser_once_and_repeats_each_outcome(tmp_path, capsys, monkeypatch):
+    import fracvide.cli as cli
+
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    out = tmp_path / "sol.json"
+    good = ["solve", "--problem", "ex1", "--n", "6", "--out", str(out)]
+    usage = ["solve", "--problem", "ex1", "--n", "6", "--quad-points", "0"]
+    failing = ["solve", "--problem", "nope", "--n", "6"]
+    outcomes = []
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            outcomes.append(run(good, capsys))
+            with pytest.raises(SystemExit) as exit_info:
+                main(usage)
+            outcomes.append((exit_info.value.code, *capsys.readouterr()))
+            outcomes.append(run(failing, capsys))
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert outcomes[:3] == outcomes[3:]
+    assert [code for code, _, _ in outcomes[:3]] == [0, 2, 1]

@@ -2,6 +2,7 @@ import math
 import random
 
 import numpy as np
+import oracle_exprlang
 import pytest
 
 from fracvide.exprlang import (
@@ -228,3 +229,114 @@ def test_domain_errors_on_arrays_name_first_bad_value(source, values, message):
     f = compile_function(source, ("t",))
     with pytest.raises(ExprEvalError, match=f"^{message}$"):
         f(np.array(values))
+
+
+def _outcome(fn, *values, **extra):
+    """What a call gives: the result's type, shape and bytes, or the error's
+    type and message."""
+    try:
+        out = fn(*values, **extra)
+    except Exception as err:  # the oracle and the program must raise alike
+        return type(err), str(err)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+# arrays with negatives, signed zeros, subnormals and values near overflow
+_HARD_VALUES = [
+    (np.array([0.37, 1.0, 2.5, 0.01]), np.array([0.81, 0.5, 3.0, 1e-3])),
+    (np.array([0.5, -1.0, 0.0, -0.0, 2.0]), np.array([-2.5, 0.0, 1.0, 4.0, -0.5])),
+    (np.array([1e308, 708.9, -1e308, 1e154, 5e-324]), np.array([2.0, 709.5, 1e-300, -1e154, 3.0])),
+]
+_SCALARS = {"mu": 0.5, "gamma": 1.25, "eps": 0.66, "T": 1.0}
+
+
+def test_compiled_functions_match_the_oracle():
+    rng = random.Random(20261019)
+    raised = 0
+    for _ in range(300):
+        source = to_source(_random_expr(rng, rng.randint(1, 6)))
+        new = compile_function(source, ("t", "s"))
+        old = oracle_exprlang.compile_function(source, ("t", "s"))
+        for t, s in _HARD_VALUES:
+            expected = _outcome(old, t, s, **_SCALARS)
+            raised += len(expected) == 2
+            assert _outcome(new, t, s, **_SCALARS) == expected, source
+            for args in ((t[:, None], s), (float(t[1]), s[1])):
+                assert _outcome(new, *args, **_SCALARS) == _outcome(old, *args, **_SCALARS)
+        assert _outcome(evaluate, parse(source), {"t": 0.37, "s": 0.81, **_SCALARS}) == \
+            _outcome(oracle_exprlang.evaluate, parse(source), {"t": 0.37, "s": 0.81, **_SCALARS})
+    assert 100 < raised < 800   # both outcomes are exercised
+
+
+@pytest.mark.parametrize("source", [
+    "t^(5/4)*exp(-t)", "exp(-t)*(5/4*t^(1/4) - t^(5/4))", "t^-0.5", "pow(t, -2)", "t^(-3/2)",
+    "pow(t, 1/3) + t^0", "2^-3*t", "(-8)^(1/3) + t", "-(2^10) + ln(4)*t", "beta(1/2, 3/2)*t",
+    "t^(2^-1)", "sqrt(2)^2 - t", "pi*t + e", "1e308*10 + t", "t/(2-2)", "pow(0, -1) + t",
+])
+def test_folded_and_specialised_expressions_match_the_oracle(source):
+    new = compile_function(source, ("t",))
+    old = oracle_exprlang.compile_function(source, ("t",))
+    for t, _ in _HARD_VALUES:
+        assert _outcome(new, t) == _outcome(old, t)
+        for value in t:
+            assert _outcome(new, float(value)) == _outcome(old, float(value))
+
+
+@pytest.mark.parametrize("source,message", [
+    ("ln(-1)*t", "ln of non-positive value -1.0"),
+    ("t^(1/0)", "division by zero"),
+    ("t + (-2)^0.5", r"negative base -2.0 with non-integer exponent 0.5"),
+])
+def test_a_failing_constant_raises_at_call_time(source, message):
+    f = compile_function(source, ("t",))     # compiles without error
+    with pytest.raises(ExprEvalError, match=f"^{message}$"):
+        f(0.5)
+    with pytest.raises(ExprEvalError, match=f"^{message}$"):
+        f(np.array([0.5, 1.0]))
+
+
+def test_unknown_function_is_named_at_compile_time_in_tree_order():
+    with pytest.raises(ExprEvalError, match="^unknown function 'sinh'$"):
+        compile_function("sinh(foo(1)) + t", ("t",))
+    with pytest.raises(ExprEvalError, match=r"^pow takes 2 argument\(s\), got 1$"):
+        compile_function("pow(cosh(2))", ("t",))
+
+
+def test_bindings_override_pi_and_e():
+    f = compile_function("pi*t + e", ("t",))
+    assert f(2.0) == math.pi * 2.0 + math.e
+    assert f(2.0, pi=3.0) == 6.0 + math.e
+    assert f(2.0, pi=3.0, e=1.0) == 7.0
+    assert f(np.array([1.0, 2.0]), pi=3.0).tolist() == [3.0 + math.e, 6.0 + math.e]
+    assert compile_function("pi", ("pi",))(3.0) == 3.0
+    assert evaluate(parse("2*pi"), {"pi": 3.0}) == 6.0
+
+
+def test_integer_bindings_evaluate_as_floats():
+    f = compile_function("t^-mu + 0*t", ("t",))
+    assert f(2, mu=1) == 0.5
+    assert f([2, 4], mu=1).tolist() == [0.5, 0.25]
+
+
+def test_result_is_a_new_array_of_the_broadcast_shape():
+    t = np.array([1.0, 2.0])
+    for source in ("t", "t*1", "mu", "2"):
+        out = compile_function(source, ("t",))(t, mu=3.0)
+        assert type(out) is np.ndarray and out.shape == (2,)
+        assert not np.shares_memory(out, t)
+    out = compile_function("t", ("t", "s"))(t, np.zeros((3, 1)))
+    assert out.shape == (3, 2) and out.flags.writeable
+
+
+@pytest.mark.parametrize("source,offset", [("1e400", 0), ("2*1e400", 2), ("t + 1.8e308", 4)])
+def test_overflowing_literal_is_a_syntax_error(source, offset):
+    with pytest.raises(ExprSyntaxError, match="is too large for a double") as err:
+        parse(source)
+    assert err.value.position == offset
+    with pytest.raises(ExprSyntaxError):
+        compile_function(source, ("t",))
+
+
+def test_largest_and_underflowing_literals_parse():
+    assert parse("1.7976931348623157e308") == Num(1.7976931348623157e308)
+    assert parse("1e-400") == Num(0.0)

@@ -84,6 +84,23 @@ def test_validate_collects_violations():
     assert len(validate(bad)) == 3  # mu range, mu+gamma, T
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["gamma", "T", "y0"])
+def test_validate_names_a_non_finite_scalar(name, value):
+    spec = dataclasses.replace(builtin("ex1"), **{name: value})
+    assert f"{name} must be finite, got {value}" in validate(spec)
+    with pytest.raises(ValueError, match=f"^invalid problem: .*{name} must be finite"):
+        transform(spec)
+
+
+def test_validate_names_every_non_finite_scalar():
+    ex1 = builtin("ex1")
+    spec = ProblemSpec(mu=0.5, gamma=math.inf, eps=0.5, T=math.nan, y0=math.inf,
+                       p=ex1.p, q=ex1.q, g=ex1.g, K1=ex1.K1, K2=ex1.K2)
+    assert validate(spec) == ["gamma must be finite, got inf", "T must be finite, got nan",
+                              "y0 must be finite, got inf"]
+
+
 def test_transform_identity_scaling():
     spec = builtin("ex1")  # T = 1
     tp = transform(spec)
@@ -250,6 +267,21 @@ def test_parse_config_errors():
         parse_problem_config(CONFIG.replace("eps = 0.5", "eps = 1.2"))
     with pytest.raises(ValueError, match="together"):
         parse_problem_config(CONFIG.replace("exact_prime = ", "# exact_prime = "))
+
+
+@pytest.mark.parametrize("value,message", [
+    ("2*1e400", r"number 1e400 is too large for a double \(at offset 2\)"),
+    ("10^400", r"\^ produced a non-finite result"),
+])
+@pytest.mark.parametrize("key", ["gamma", "T", "y0"])
+def test_config_rejects_a_non_finite_scalar(key, value, message, tmp_path):
+    lines = CONFIG.splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {value}"
+    path = tmp_path / "huge.cfg"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"^line {lineno}: bad value for {key}: {message}$"):
+        load_problem(path)
 
 
 def test_load_problem_from_file(tmp_path):
