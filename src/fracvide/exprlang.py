@@ -278,8 +278,15 @@ def _constant_power(exponent):
     return power
 
 
+def _beta_scalar(a, b):
+    try:
+        return _beta_fn(a, b)
+    except OverflowError:
+        raise ExprEvalError(f"beta({a}, {b}) overflows") from None
+
+
 # Beta has no numpy ufunc; this applies the scalar one elementwise
-_beta_elementwise = np.frompyfunc(_beta_fn, 2, 1)
+_beta_elementwise = np.frompyfunc(_beta_scalar, 2, 1)
 
 
 def _fn_beta(a, b):
@@ -287,7 +294,7 @@ def _fn_beta(a, b):
     if bad.any():
         a0, b0 = _first(bad, a, b)
         raise ExprEvalError(f"beta requires positive arguments, got ({a0}, {b0})")
-    return np.asarray(_beta_elementwise(a, b), dtype=float)
+    return _checked("beta", np.asarray(_beta_elementwise(a, b), dtype=float))
 
 
 def _divide(a, b):
@@ -299,10 +306,10 @@ def _divide(a, b):
 _FUNCTIONS = {
     "exp": (1, _fn_exp),
     "ln": (1, _fn_ln),
-    "sin": (1, np.sin),
-    "cos": (1, np.cos),
+    "sin": (1, lambda x: _checked("sin", np.sin(x))),
+    "cos": (1, lambda x: _checked("cos", np.cos(x))),
     "sqrt": (1, _fn_sqrt),
-    "abs": (1, np.abs),
+    "abs": (1, lambda x: _checked("abs", np.abs(x))),
     "pow": (2, _power),
     "beta": (2, _fn_beta),
 }
@@ -358,7 +365,7 @@ def _fold(expr):
         return expr
     try:
         value = _run(_closure(expr), {})
-    except (ValueError, ArithmeticError):  # the checks, or an overflow in beta
+    except ValueError:
         return expr
     return Num(float(value))
 

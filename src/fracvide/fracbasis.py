@@ -16,8 +16,9 @@ from .specfun import frac_gauss_jacobi
 
 # relative threshold on |z - z_j| for snapping to the Kronecker value
 _NODE_HIT_RTOL = 1e-15
-# float64 entries in the work array of basis_quadrature (2 MB), or one row if more
-_WORK_ENTRIES = 1 << 18
+# float64 entries in the work array of basis_quadrature (512 KB, which leaves
+# room in a 2 MiB L2 for the block's other operands), or one row if more
+_WORK_ENTRIES = 1 << 16
 # float64 entries in the products of one block of points in interpolate (512 KB)
 _PRODUCT_ENTRIES = 1 << 16
 
@@ -90,12 +91,15 @@ def basis_quadrature(basis, points, weights):
     more weight sets over the same points. The result has shape
     (..., rows, n+1) with entry [..., r, j] = sum_k weights[..., r, k] *
     F_j(points[r, k]). The reciprocal differences 1/(z - z_j) are formed
-    for blocks of whole rows in one work array of 2 MB, or of one row when
-    a row's m * (n+1) entries need more; the barycentric denominators are
-    their products with the barycentric weights, and each row is contracted
-    with matmul, once per weight set, so a set gives the same bits stacked
-    as alone. A point on a node (as in basis_matrix) adds its weight to
-    that node's column alone.
+    for blocks of whole rows in one work array of 512 KB, small enough to
+    stay in a 2 MiB L2 cache with the block's other operands, or of one
+    row when a row's m * (n+1) entries need more (in assembly, where
+    m = n+1, from n = 256 up). The barycentric denominators are their
+    products with the barycentric weights, and one batched matmul per
+    block contracts each row of each weight set as its own
+    (1 x m) @ (m x (n+1)) product, so a set gives the same bits stacked as
+    alone. A point on a node (as in basis_matrix) adds its weight to that
+    node's column alone.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -107,32 +111,41 @@ def basis_quadrature(basis, points, weights):
     sets = weights.reshape(-1, rows, m)
     z = points ** basis.lam if basis.lam != 1.0 else points
     node = _node_hits(basis, z)
+    hits = node >= 0
+    any_hit = hits.any()
+    # blocks of whole rows, at least one row per block
+    r_block = min(rows, max(1, _WORK_ENTRIES // (m * size)))
     # z - z_j as the rank-2 product [z, 1] . [1, -z_j]: both products are
     # exact, so each entry is the one rounding of the subtraction, and
     # matmul writes the block several times faster than a broadcast subtract
-    z1 = np.stack([z, np.ones_like(z)], axis=-1)
+    z1 = np.ones((r_block, m, 2))
     minus_nodes = np.stack([np.ones(size), -basis.z_nodes])
-    # blocks of whole rows, at least one row per block
-    r_block = min(rows, max(1, _WORK_ENTRIES // (m * size)))
     work = np.empty(r_block * m * size)
+    coef = np.empty((len(sets), r_block, 1, m))
     out = np.empty((len(sets), rows, size))
     for r0 in range(0, rows, r_block):
         r1 = min(rows, r0 + r_block)
-        recip = work[:(r1 - r0) * m * size].reshape(r1 - r0, m, size)
-        np.matmul(z1[r0:r1], minus_nodes, out=recip)
-        hit = node[r0:r1] >= 0
-        recip[hit] = 1.0            # a point on a node gets no reciprocals
+        nr = r1 - r0
+        recip = work[:nr * m * size].reshape(nr, m, size)
+        z1[:nr, :, 0] = z[r0:r1]
+        np.matmul(z1[:nr], minus_nodes, out=recip)
+        if any_hit:
+            hit = hits[r0:r1]
+            recip[hit] = 1.0        # a point on a node gets no reciprocals
         np.divide(1.0, recip, out=recip)
-        recip[hit] = 0.0
+        # the denominator of a point on a node is replaced, so it may be
+        # formed before that point's reciprocals are cleared
         denom = recip @ basis.bary_weights
-        denom[hit] = 1.0
-        for w, o in zip(sets, out):
-            coef = w[r0:r1] / denom
-            o[r0:r1] = np.matmul(coef[:, None, :], recip)[:, 0, :]
+        if any_hit:
+            recip[hit] = 0.0
+            denom[hit] = 1.0
+        np.divide(sets[:, r0:r1], denom, out=coef[:, :nr, 0])
+        np.matmul(coef[:, :nr], recip, out=out[:, r0:r1, None])
     out *= basis.bary_weights
-    r, k = np.nonzero(node >= 0)
-    for w, o in zip(sets, out):
-        np.add.at(o, (r, node[r, k]), w[r, k])
+    if any_hit:
+        r, k = np.nonzero(hits)
+        for w, o in zip(sets, out):
+            np.add.at(o, (r, node[r, k]), w[r, k])
     return out.reshape(weights.shape[:-1] + (size,))
 
 

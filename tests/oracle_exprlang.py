@@ -60,7 +60,14 @@ def _power(base, exponent):
     return _checked("^", np.power(base, exponent))
 
 
-_beta_elementwise = np.frompyfunc(_beta_fn, 2, 1)
+def _beta_scalar(a, b):
+    try:
+        return _beta_fn(a, b)
+    except OverflowError:
+        raise ExprEvalError(f"beta({a}, {b}) overflows") from None
+
+
+_beta_elementwise = np.frompyfunc(_beta_scalar, 2, 1)
 
 
 def _fn_beta(a, b):
@@ -68,7 +75,7 @@ def _fn_beta(a, b):
     if np.any(bad):
         a0, b0 = _first(bad, a, b)
         raise ExprEvalError(f"beta requires positive arguments, got ({a0}, {b0})")
-    return np.asarray(_beta_elementwise(a, b), dtype=float)
+    return _checked("beta", np.asarray(_beta_elementwise(a, b), dtype=float))
 
 
 def _divide(a, b):
@@ -80,10 +87,10 @@ def _divide(a, b):
 _FUNCTIONS = {
     "exp": (1, _fn_exp),
     "ln": (1, _fn_ln),
-    "sin": (1, np.sin),
-    "cos": (1, np.cos),
+    "sin": (1, lambda x: _checked("sin", np.sin(x))),
+    "cos": (1, lambda x: _checked("cos", np.cos(x))),
     "sqrt": (1, _fn_sqrt),
-    "abs": (1, np.abs),
+    "abs": (1, lambda x: _checked("abs", np.abs(x))),
     "pow": (2, _power),
     "beta": (2, _fn_beta),
 }

@@ -318,6 +318,16 @@ def test_reproduce_rejects_config_path(tmp_path, capsys):
     assert "unknown problem" in stderr
 
 
+def test_config_overflow_is_an_error_line_not_a_traceback(tmp_path, capsys):
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text(CONFIG.replace("T = 1", "T = beta(1e-308, 1e-308)"))
+    code, stdout, stderr = run(["solve", "--problem", str(cfg), "--n", "4"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        "error: line 5: bad value for T: beta(1e-308, 1e-308) overflows"]
+
+
 def test_gamma_override_only_ex1(capsys):
     code, _, stderr = run(["solve", "--problem", "ex2", "--n", "4",
                            "--gamma-override", "2"], capsys)

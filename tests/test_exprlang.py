@@ -167,6 +167,16 @@ def test_fuzz_roundtrip_and_reeval():
     assert checked > 150
 
 
+@pytest.mark.parametrize("name", ["sin", "cos", "abs"])
+def test_functions_reject_a_non_finite_result(name):
+    f = compile_function(f"{name}(t)", ("t",))
+    with pytest.raises(ExprEvalError, match=f"^{name} produced a non-finite result$"):
+        f(np.inf)
+    # finite results are the ufunc's, bit for bit
+    values = np.array([-2.5, -0.0, 1e-310, 0.37, 1e300])
+    assert f(values).tobytes() == getattr(np, name)(values).tobytes()
+
+
 def test_compile_function():
     f = compile_function("t^2 + c", ("t",))
     assert f(3.0, c=1.0) == 10.0
@@ -224,6 +234,13 @@ def test_golden_expressions_on_arrays(source, bindings, expected):
     ("t^-1", [1.0, 0.0], "zero raised to a negative power"),
     ("exp(t)", [1.0, 710.0], "exp produced a non-finite result"),
     ("t*1e308*10", [0.0, 1.0], r"\* produced a non-finite result"),
+    ("sin(t)", [0.5, np.inf], "sin produced a non-finite result"),
+    ("cos(t)", [np.nan, 0.5], "cos produced a non-finite result"),
+    ("abs(t)", [-1.0, -np.inf], "abs produced a non-finite result"),
+    ("beta(t, t)", [1.0, 1e-308, 1e-300], r"beta\(1e-308, 1e-308\) overflows"),
+    # the log-gamma sum overflows, though B(1e308, 1) = 1e-308
+    ("beta(t, 1)", [1.0, 1e308], r"beta\(1e\+308, 1.0\) overflows"),
+    ("beta(t, 1)", [1.0, np.nan], "beta produced a non-finite result"),
 ])
 def test_domain_errors_on_arrays_name_first_bad_value(source, values, message):
     f = compile_function(source, ("t",))
@@ -286,6 +303,7 @@ def test_folded_and_specialised_expressions_match_the_oracle(source):
     ("ln(-1)*t", "ln of non-positive value -1.0"),
     ("t^(1/0)", "division by zero"),
     ("t + (-2)^0.5", r"negative base -2.0 with non-integer exponent 0.5"),
+    ("beta(1e-308, 1e-308)*t", r"beta\(1e-308, 1e-308\) overflows"),
 ])
 def test_a_failing_constant_raises_at_call_time(source, message):
     f = compile_function(source, ("t",))     # compiles without error

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fracvide.fracbasis as fracbasis
 import oracle_fracbasis
+from fracvide.collocate import assemble
 from fracvide.fracbasis import (
     basis_matrix,
     basis_quadrature,
@@ -17,6 +19,7 @@ from fracvide.fracbasis import (
     sup_norm,
     weighted_l2_norm,
 )
+from fracvide.problem import builtin, transform
 
 
 def test_degree_zero_basis_is_constant_one():
@@ -299,6 +302,43 @@ def test_basis_quadrature_rejects_mismatched_shapes():
         basis_quadrature(b, np.full(3, 0.5), np.ones(3))
     with pytest.raises(ValueError):
         basis_quadrature(b, np.full((2, 3), 0.5), np.ones((2, 2, 2)))
+
+
+# 7 rows of 5 points against 7 basis functions: 35 work entries a row
+@pytest.mark.parametrize("work_entries", [35, 3 * 35])
+def test_basis_quadrature_blocks_give_the_bits_of_one_block(monkeypatch, work_entries):
+    # 35 entries give one-row blocks, 105 blocks of 3, 3 and 1 rows; row 4,
+    # in a middle block either way, is the only one with node hits
+    b = build_basis(6, -0.5, -0.5, 0.5)
+    rng = np.random.default_rng(3)
+    points = rng.uniform(0.0, 1.0, (7, 5))
+    points[4, 1] = b.nodes[2]
+    points[4, 3] = b.nodes[6]
+    weights = rng.normal(size=(2, 7, 5))
+    whole = basis_quadrature(b, points, weights)    # one block of every row
+    monkeypatch.setattr(fracbasis, "_WORK_ENTRIES", work_entries)
+    blocked = basis_quadrature(b, points, weights)
+    assert np.array_equal(blocked, whole)
+    for w, got in zip(weights, blocked):
+        assert np.array_equal(basis_quadrature(b, points, w), got)
+        want = np.stack([wr @ basis_matrix(b, p) for p, wr in zip(points, w)])
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_warm_assembly_peak_memory():
+    # a warm ex1 assemble at N = 256 peaked at 5.36 MB under tracemalloc
+    # with 512 KB blocks (one row), and at 5.99 MB with 2 MB blocks (three
+    # rows), the whole of a 2 MiB L2 cache; the bound keeps the block from
+    # growing back
+    tp = transform(builtin("ex1"))
+    assemble(tp, 256, 1.0)
+    tracemalloc.start()
+    try:
+        assemble(tp, 256, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.7e6
 
 
 def test_small_lambda_basis_keeps_distinct_z_nodes():

@@ -272,6 +272,7 @@ def test_parse_config_errors():
 @pytest.mark.parametrize("value,message", [
     ("2*1e400", r"number 1e400 is too large for a double \(at offset 2\)"),
     ("10^400", r"\^ produced a non-finite result"),
+    ("beta(1e-308, 1e-308)", r"beta\(1e-308, 1e-308\) overflows"),
 ])
 @pytest.mark.parametrize("key", ["gamma", "T", "y0"])
 def test_config_rejects_a_non_finite_scalar(key, value, message, tmp_path):
