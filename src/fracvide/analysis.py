@@ -76,7 +76,7 @@ def error_report(sol, exact_phi, exact_phi_prime, quad_points=None):
         quad_points = default_quad_points(system.n)
     grid = default_error_grid(system.basis)
     e, estar = _error_functions(sol, exact_phi, exact_phi_prime)
-    # e and e* in turn on each point set, so that they share its basis matrix
+    # e and e* in turn on each point set, so that they share its barycentric terms
     l2_e = weighted_l2_norm(e, system.alpha_c, system.beta_c, 1.0, quad_points)
     l2_estar = weighted_l2_norm(estar, system.alpha_c, system.beta_c, 1.0, quad_points)
     linf_e = sup_norm(e, grid)
@@ -95,10 +95,11 @@ def _error_functions(sol, exact_phi, exact_phi_prime):
 def _latest_interpolants(sol):
     """theta -> (phi_N(theta), phi*_N(theta)), stacked.
 
-    phi_N and phi*_N are interpolated together, from one basis matrix, and
-    kept for the latest points, so taking one and then the other on the
-    same points evaluates the basis there once. The kept values are
-    read-only, since each call on those points hands out the same array.
+    phi_N and phi*_N are interpolated together, from one array of
+    barycentric terms, and kept for the latest points, so taking one and
+    then the other on the same points evaluates the basis there once. The
+    kept values are read-only, since each call on those points hands out
+    the same array.
     """
     coeffs = np.stack([sol.u, sol.u_star])
     latest = [None, None]                     # points, interpolants there
@@ -161,12 +162,14 @@ def classify_decay(ns, errs):
     log_err = np.log(errs)
 
     def fit(x):
-        slope, intercept = np.polyfit(x, log_err, 1)
-        resid = log_err - (slope * x + intercept)
-        total = float(np.sum((log_err - log_err.mean()) ** 2))
+        # the least-squares line in closed form, about the means
+        dx, dy = x - x.mean(), log_err - log_err.mean()
+        slope = float(dx @ dy) / float(dx @ dx)
+        total = float(dy @ dy)
         if total == 0.0:
             return 1.0, slope
-        return 1.0 - float(np.sum(resid ** 2)) / total, slope
+        resid = dy - slope * dx
+        return 1.0 - float(resid @ resid) / total, slope
 
     r2_exp, slope_exp = fit(ns)
     r2_alg, slope_alg = fit(np.log(ns))

@@ -19,8 +19,6 @@ _NODE_HIT_RTOL = 1e-15
 # float64 entries in the work array of basis_quadrature (512 KB, which leaves
 # room in a 2 MiB L2 for the block's other operands), or one row if more
 _WORK_ENTRIES = 1 << 16
-# float64 entries in the products of one block of points in interpolate (512 KB)
-_PRODUCT_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,15 +66,27 @@ def basis_matrix(basis, thetas):
 
     thetas may have any shape, and a scalar counts as one point of shape
     (1,). The result has shape thetas.shape + (n+1,) and sums to 1 along
-    its last axis. It is built in place: the differences z - z_j become
-    the barycentric terms and then the basis values in one array.
+    its last axis: the barycentric terms, each row divided in place by its
+    sum.
+    """
+    out = _bary_terms(basis, thetas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= np.sum(out, axis=-1, keepdims=True)
+    return out
+
+
+def _bary_terms(basis, thetas):
+    """The barycentric terms w_j / (z - z_j) at z = theta**lam, shape
+    thetas.shape + (n+1,) (a scalar counts as one point of shape (1,)).
+
+    The differences become the terms in place. A point on a node gets the
+    Kronecker row of that node instead, whose sum is 1.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     z = thetas ** basis.lam if basis.lam != 1.0 else thetas
     out = np.subtract.outer(z, basis.z_nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(basis.bary_weights, out, out=out)
-        out /= np.sum(out, axis=-1, keepdims=True)
     node = _node_hits(basis, z)
     hits = np.nonzero(node >= 0)
     out[hits] = 0.0
@@ -159,8 +169,8 @@ def _node_hits(basis, z):
     return np.where(np.abs(z - zn[below]) <= tol[below], below, node)
 
 
-def _basis_row(basis, theta):
-    """All basis functions at one point, with basis_matrix's arithmetic."""
+def _bary_terms_row(basis, theta):
+    """The barycentric terms at one point, with _bary_terms' arithmetic."""
     z = np.power(theta, basis.lam) if basis.lam != 1.0 else theta
     diff = z - basis.z_nodes
     j = np.abs(diff).argmin()
@@ -168,8 +178,7 @@ def _basis_row(basis, theta):
         row = np.zeros(len(diff))
         row[j] = 1.0
         return row
-    terms = basis.bary_weights / diff
-    return terms / terms.sum()
+    return basis.bary_weights / diff
 
 
 def eval_basis(basis, j, theta):
@@ -178,7 +187,8 @@ def eval_basis(basis, j, theta):
     if not 0 <= j <= basis.n:
         raise IndexError(f"basis index {j} out of range 0..{basis.n}")
     if np.ndim(theta) == 0:
-        return float(_basis_row(basis, float(theta))[j])
+        terms = _bary_terms_row(basis, float(theta))
+        return float(terms[j] / terms.sum())
     return basis_matrix(basis, theta)[..., j]
 
 
@@ -187,26 +197,36 @@ def interpolate(basis, values, theta):
 
     values holds the n+1 nodal values of one function, or of several
     stacked along leading axes; theta may have any shape. The result has
-    shape values.shape[:-1] + theta.shape. The basis is evaluated once for
-    all the functions, and its products with their values are formed for a
-    block of points at a time, in at most _PRODUCT_ENTRIES entries. Each
-    point's sum is formed on its own, so a point gives the same value bit
-    for bit whether it is passed alone or in an array, and a function
-    whether alone or stacked.
+    shape values.shape[:-1] + theta.shape. By the second barycentric form,
+    each value is sum_j t_j v_j / sum_j t_j with the terms
+    t_j = w_j / (z - z_j), which are formed once for all the functions and
+    never normalised into a basis matrix. One einsum contraction gives the
+    numerators of every function and, from a row of ones, the denominator.
+    It sums each point and function on its own, in an order that depends
+    only on n, so a point gives the same value bit for bit whether it is
+    passed alone or in an array, scalar or not, and a function whether
+    alone or stacked. (A BLAS matmul would not: its blocking changes the
+    order of the sums with the number of rows and columns.) A point on a
+    node gives that node's value exactly.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape[-1:] != (basis.n + 1,):
+    size = basis.n + 1
+    if values.shape[-1:] != (size,):
         raise ValueError(f"expected {basis.n + 1} nodal values, got shape {values.shape}")
-    if np.ndim(theta) == 0:
-        out = (_basis_row(basis, float(theta)) * values).sum(axis=-1)
-        return float(out) if values.ndim == 1 else out
-    matrix = basis_matrix(basis, theta)
-    rows = matrix.reshape(-1, basis.n + 1)
-    out = np.empty(values.shape[:-1] + (len(rows),))
-    step = max(1, _PRODUCT_ENTRIES // max(1, values.size))
-    for r0 in range(0, len(rows), step):
-        out[..., r0:r0 + step] = np.sum(rows[r0:r0 + step] * values[..., None, :], axis=-1)
-    return out.reshape(values.shape[:-1] + matrix.shape[:-1])
+    scalar = np.ndim(theta) == 0
+    stacked = np.ones((values.size // size + 1, size))
+    stacked[:-1] = values.reshape(-1, size)
+    # the small result is allocated before the large terms, which are freed
+    # on return: the other order fragments glibc's heap, and high_degree's
+    # peak RSS read 2 MB higher
+    sums = np.empty((len(stacked), np.size(theta)))
+    terms = _bary_terms_row(basis, float(theta)) if scalar else _bary_terms(basis, theta)
+    np.einsum("pj,fj->fp", terms.reshape(-1, size), stacked, out=sums)
+    out = sums[:-1]
+    out /= sums[-1]
+    if scalar:
+        return float(out[0, 0]) if values.ndim == 1 else out.reshape(values.shape[:-1])
+    return out.reshape(values.shape[:-1] + terms.shape[:-1])
 
 
 def lebesgue_constant(basis, grid_size):

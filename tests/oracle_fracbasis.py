@@ -1,9 +1,11 @@
 """Whole-array barycentric evaluation, kept as the oracle for fracbasis.
 
-These are the formulas that `fracvide.fracbasis.basis_matrix` used before
-it worked in place, with the differences, the barycentric terms and the
-basis values each in an array of their own, and `interpolate` on top of
-them. They take 1-D points only.
+`basis_matrix` holds the formulas that `fracvide.fracbasis.basis_matrix`
+used before it worked in place, with the differences, the barycentric
+terms and the basis values each in an array of their own. `interpolate`
+is the second barycentric form on a whole array of terms, with the
+numerators of the functions and the denominator contracted separately.
+They take 1-D points only.
 """
 
 import numpy as np
@@ -11,22 +13,37 @@ import numpy as np
 from fracvide.fracbasis import _node_hits
 
 
-def basis_matrix(basis, thetas):
-    """All basis functions at 1-D points, shape (len(thetas), n+1)."""
+def _terms(basis, thetas):
+    """z at 1-D points and the terms w_j / (z - z_j), shape (len(thetas), n+1)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     z = thetas ** basis.lam if basis.lam != 1.0 else thetas
     diff = z[:, None] - basis.z_nodes[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = basis.bary_weights[None, :] / diff
-        out = terms / np.sum(terms, axis=1, keepdims=True)
+        return z, basis.bary_weights[None, :] / diff
+
+
+def _kronecker_on_nodes(basis, z, rows_of_points):
+    """Replace the row of each point on a node by that node's Kronecker row."""
     node = _node_hits(basis, z)
     rows = np.nonzero(node >= 0)[0]
-    out[rows] = 0.0
-    out[rows, node[rows]] = 1.0
-    return out
+    rows_of_points[rows] = 0.0
+    rows_of_points[rows, node[rows]] = 1.0
+    return rows_of_points
+
+
+def basis_matrix(basis, thetas):
+    """All basis functions at 1-D points, shape (len(thetas), n+1)."""
+    z, terms = _terms(basis, thetas)
+    with np.errstate(invalid="ignore"):
+        out = terms / np.sum(terms, axis=1, keepdims=True)
+    return _kronecker_on_nodes(basis, z, out)
 
 
 def interpolate(basis, values, theta):
-    """sum_j values[..., j] * F_j(theta) at 1-D points theta."""
+    """sum_j t_j values[..., j] / sum_j t_j at 1-D points theta, with the
+    terms t_j = w_j / (z - z_j) (a Kronecker row for a point on a node)."""
     values = np.asarray(values, dtype=float)
-    return np.sum(basis_matrix(basis, theta) * values[..., None, :], axis=-1)
+    z, terms = _terms(basis, theta)
+    terms = _kronecker_on_nodes(basis, z, terms)
+    numerators = np.einsum("pj,...j->...p", terms, values)
+    return numerators / np.einsum("pj,j->p", terms, np.ones(basis.n + 1))

@@ -63,6 +63,20 @@ def test_classify_decay_synthetic():
     assert rate == pytest.approx(-3.0, rel=1e-10)
 
 
+def test_classify_decay_fit_matches_an_svd_least_squares_fit():
+    # the closed-form line against np.polyfit, on noisy exponential and
+    # algebraic sequences at random degrees
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        ns = np.sort(rng.choice(np.arange(2, 60), 8, replace=False))
+        noise = 0.02 * rng.normal(size=8)
+        for label, x, rate in (("exponential", ns, -0.7), ("algebraic", np.log(ns), -2.5)):
+            log_err = rate * x + noise
+            got = classify_decay(ns, np.exp(log_err))
+            assert got[0] == label
+            assert got[1] == pytest.approx(np.polyfit(x, log_err, 1)[0], rel=1e-12)
+
+
 def test_classify_decay_degenerate():
     assert classify_decay([4, 6], [1e-2, 1e-3])[0] == "inconclusive"
     assert classify_decay([8], [1e-2])[0] == "inconclusive"
@@ -277,26 +291,26 @@ def test_error_report_matches_old_closures_bit_for_bit(name, n, lam, alpha_c, be
 
 
 def test_error_report_evaluates_the_basis_once_per_point_set(monkeypatch):
-    # one basis matrix on the error rule's nodes and one on the grid serve
-    # both e and e*; both go through fracbasis.basis_matrix
+    # one array of barycentric terms on the error rule's nodes and one on
+    # the grid serve both e and e*; both come from fracbasis._bary_terms
     tp = transform(builtin("ex2"))
     sol = solve(assemble(tp, 14, 0.5))
     calls = []
-    matrix = fracbasis.basis_matrix
-    monkeypatch.setattr(fracbasis, "basis_matrix",
-                        lambda basis, points: calls.append(np.size(points)) or matrix(basis, points))
+    terms = fracbasis._bary_terms
+    monkeypatch.setattr(fracbasis, "_bary_terms",
+                        lambda basis, points: calls.append(np.size(points)) or terms(basis, points))
     error_report(sol, tp.phi, tp.phi_prime)
     grid = analysis.default_error_grid(sol.system.basis)
     assert calls == [analysis.default_quad_points(14), grid.size]
 
 
 def test_error_report_peak_memory():
-    # ex1 at N = 256 with an 800-point rule peaked at 3.24 MB under
-    # tracemalloc: the basis matrix on the 1257-point grid (2.6 MB) and one
-    # 512 KB block of its products with the two stacked interpolants. The
-    # whole-array formulas took 7.87 MB. The bound leaves a 14% margin; the
-    # rule and a first report, which imports numpy.ma, come before the
-    # measurement
+    # ex1 at N = 256 with an 800-point rule peaks at 2.80 MB under
+    # tracemalloc: the barycentric terms on the 1257-point grid (2.6 MB),
+    # contracted without a product array. A basis matrix with 512 KB blocks
+    # of its products took 3.24 MB, and the whole-array formulas 7.87 MB.
+    # The bound leaves a 14% margin; the rule and a first report, which
+    # imports numpy.ma, come before the measurement
     tp = transform(builtin("ex1"))
     sol = solve(assemble(tp, 256, 1.0))
     error_report(sol, tp.phi, tp.phi_prime, 800)
@@ -306,20 +320,22 @@ def test_error_report_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.7e6
+    assert peak <= 3.2e6
 
 
 @pytest.mark.parametrize("name", ["ex4", "ex5"])
 def test_self_reference_shares_one_basis_evaluation(name, monkeypatch):
     # phi and phi_prime are sol.evaluate and sol.evaluate_derivative bit for
-    # bit, from one basis matrix per point set
+    # bit, from one array of barycentric terms per point set (assembly's
+    # basis matrix forms such an array too, so every solve comes first)
     spec = builtin(name)
     ref = self_reference(spec, 0.5, 18)
     sol = solve(assemble(transform(spec), 18, 0.5))
+    low = solve(assemble(transform(spec), 10, 0.5))
     calls = []
-    matrix = fracbasis.basis_matrix
-    monkeypatch.setattr(fracbasis, "basis_matrix",
-                        lambda basis, points: calls.append(np.size(points)) or matrix(basis, points))
+    terms = fracbasis._bary_terms
+    monkeypatch.setattr(fracbasis, "_bary_terms",
+                        lambda basis, points: calls.append(np.size(points)) or terms(basis, points))
     nodes = sol.system.basis.nodes
     points = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 37), nodes[::3]])
     for theta in (points, nodes, points):
@@ -334,10 +350,9 @@ def test_self_reference_shares_one_basis_evaluation(name, monkeypatch):
     for t in (0.0, 1.0, 0.3, float(nodes[5]), 1e-9):
         assert ref.phi(t) == sol.evaluate(t) and isinstance(ref.phi(t), float)
         assert ref.phi_prime(t) == sol.evaluate_derivative(t)
-    # an error report against the reference: one basis matrix for the
+    # an error report against the reference: one array of terms for the
     # reference and one for the solution on each point set
     calls.clear()
-    low = solve(assemble(transform(spec), 10, 0.5))
     error_report(low, ref.phi, ref.phi_prime)
     grid = analysis.default_error_grid(low.system.basis)
     assert calls == [analysis.default_quad_points(10)] * 2 + [grid.size] * 2

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -132,10 +133,11 @@ def test_stacked_interpolation_matches_one_function_at_a_time(monkeypatch, lam):
     b = build_basis(17, -0.5, -0.5, lam)
     stack = np.stack([np.cos(3.0 * b.nodes), b.nodes ** 0.5, np.exp(-b.nodes)])
     grid = np.union1d(np.linspace(0.0, 1.0, 301), b.nodes)
+    # one array of barycentric terms serves all three functions
     calls = []
-    matrix = fracbasis.basis_matrix
-    monkeypatch.setattr(fracbasis, "basis_matrix",
-                        lambda *args: calls.append(1) or matrix(*args))
+    terms = fracbasis._bary_terms
+    monkeypatch.setattr(fracbasis, "_bary_terms",
+                        lambda *args: calls.append(1) or terms(*args))
     together = interpolate(b, stack, grid)
     assert together.shape == (3, grid.size) and len(calls) == 1
     for k in range(3):
@@ -381,6 +383,29 @@ def test_basis_matrix_and_interpolate_match_the_whole_array_oracle(lam, n):
     for stack in (values[0, 0], values[0], values):
         want = oracle_fracbasis.interpolate(b, stack, points)
         assert interpolate(b, stack, points).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3])
+@pytest.mark.parametrize("n", [18, 64, 256])
+def test_interpolate_against_exact_barycentric_values(lam, n):
+    # the interpolant through the float nodes, with exact weights, in 40
+    # digits at z = theta**lam of each float point; the values are of
+    # order 1; the largest error measured was 2.4e-15 (lam = 1, n = 256),
+    # against 5.7e-16 for a normalised basis matrix
+    b = build_basis(n, -0.5, -0.5, lam)
+    values = np.cos(3.0 * b.z_nodes) + b.z_nodes ** 2
+    rng = np.random.default_rng(n)
+    points = np.concatenate([rng.uniform(0.0, 1.0, 40), b.nodes[1::max(1, n // 8)] * (1 + 1e-9),
+                             [1.0, 1e-12]])
+    got = interpolate(b, values, points)
+    with mp.workdps(40):
+        nodes = [mp.mpf(float(z)) for z in b.z_nodes]
+        weights = [1 / mp.fprod(zj - zk for zk in nodes if zk != zj) for zj in nodes]
+        for theta, value in zip(points, got):
+            z = mp.power(mp.mpf(float(theta)), lam)
+            terms = [w / (z - zj) for w, zj in zip(weights, nodes)]
+            want = mp.fdot(terms, [mp.mpf(float(v)) for v in values]) / mp.fsum(terms)
+            assert abs(value - want) <= 4e-15
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (2, 7), (3, 1, 4), (0,), (2, 0)])

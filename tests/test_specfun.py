@@ -7,6 +7,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from fracvide.specfun import (
+    BETA_STIRLING_MIN,
     CHEBYSHEV_MIN_POINTS,
     QuadratureRule,
     beta,
@@ -57,6 +58,38 @@ def test_beta_values():
     assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
     assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
     assert beta(0.5, 1.5) == pytest.approx(math.pi / 2.0, rel=1e-13)
+
+
+def _mp_beta(a, b):
+    """B(a, b) in 40 digits more than it takes to hold a + b exactly."""
+    with mp.workdps(40 + int(abs(math.log10(a) - math.log10(b)))):
+        return mp.beta(mp.mpf(a), mp.mpf(b))
+
+
+@pytest.mark.parametrize("a, b", [
+    (1e8, 1.0), (1e12, 2.5), (1e16, 1.0), (1e300, 1.0), (3.0, 1e15), (1e308, 1.0),
+    (1.0, 1e308), (1e20, 1e-5), (1e-300, 1e8), (30.0, 0.5), (31.0, 31.0), (45.5, 12.25),
+])
+def test_beta_with_a_dominant_argument_against_mpmath(a, b):
+    # the log-gamma sum lost every digit here (B(1e16, 1) read 1.0, and
+    # B(1e308, 1) overflowed); the largest error measured is 3.0e-16
+    want = _mp_beta(a, b)
+    assert abs(beta(a, b) - want) <= 1e-15 * want
+
+
+def test_beta_keeps_the_log_gamma_sum_below_the_stirling_range():
+    for a, b in [(0.5, 0.5), (0.5, 1.5), (2.5, 7.0), (29.9, 3.0), (1e-300, 29.0), (12.0, 17.5)]:
+        assert max(a, b) < BETA_STIRLING_MIN
+        assert beta(a, b) == math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        assert abs(beta(a, b) - _mp_beta(a, b)) <= 1e-13 * _mp_beta(a, b)
+
+
+def test_beta_overflow_and_underflow():
+    with pytest.raises(OverflowError):
+        beta(1e-309, 1.0)
+    with pytest.raises(OverflowError):
+        beta(5e-324, 1e8)
+    assert beta(1e5, 170.9) == 0.0 and beta(1e300, 2.5) == 0.0
 
 
 def test_beta_domain():
