@@ -26,13 +26,11 @@ class CliError(Exception):
 
 def _load_spec(args):
     name = args.problem
+    if args.gamma_override is not None and name != "ex1":
+        raise CliError("--gamma-override only applies to ex1")
     if name in BUILTIN_NAMES:
-        if args.gamma_override is not None and name != "ex1":
-            raise CliError("--gamma-override only applies to ex1")
         return builtin(name, gamma_override=args.gamma_override)
     if os.path.exists(name):
-        if args.gamma_override is not None:
-            raise CliError("--gamma-override only applies to ex1")
         return load_problem(name)
     raise CliError(f"unknown problem {name!r} (not a builtin or a config file)")
 

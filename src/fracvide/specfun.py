@@ -16,16 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Smallest Chebyshev rule built in closed form. Below it the eigh rule costs
-# well under a millisecond with one BLAS thread, and the collocation nodes
-# keep the bits that the seeded invariant tests (N + 1 <= 41) were drawn
-# against: their constant fixed-point check sums kernel samples whose own
-# rounding, about 1e-13 relative, depends on the nodes' last bits, and a
-# node set a few ulps away, such as the closed form's, can take it past its
-# 1e-12 bound.
-CHEBYSHEV_MIN_POINTS = 64
-
-
 # Larger argument of beta from which lgamma(a) - lgamma(a+b) is taken from
 # Stirling's series. Below it the plain log-gamma sum is accurate to 1e-13
 # (7.3e-14 at most over 3000 random pairs in (0.01, 30)); above, its error
@@ -75,18 +65,16 @@ def _jacobi_recurrence(n, alpha, beta):
     ab = alpha + beta
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
-    if n > 1:
-        i = np.arange(1, n, dtype=float)
-        diag[1:] = (beta * beta - alpha * alpha) / ((2 * i + ab) * (2 * i + ab + 2))
-    off = np.empty(max(n - 1, 0))
+    i = np.arange(1, n, dtype=float)
+    diag[1:] = (beta * beta - alpha * alpha) / ((2 * i + ab) * (2 * i + ab + 2))
+    off = np.empty(n - 1)
     if n > 1:
         # b_1 written with the (1+ab) factor cancelled: the raw formula is
         # 0/0 at ab = -1 (e.g. alpha = beta = -1/2).
         off[0] = math.sqrt(4 * (1 + alpha) * (1 + beta) / ((2 + ab) ** 2 * (3 + ab)))
-    if n > 2:
-        i = np.arange(2, n, dtype=float)
-        s = 2 * i + ab
-        off[1:] = np.sqrt(4 * i * (i + alpha) * (i + beta) * (i + ab) / (s * s * (s * s - 1)))
+    i = np.arange(2, n, dtype=float)
+    s = 2 * i + ab
+    off[1:] = np.sqrt(4 * i * (i + alpha) * (i + beta) * (i + ab) / (s * s * (s * s - 1)))
     return diag, off
 
 
@@ -94,12 +82,11 @@ def gauss_jacobi(n_points, alpha, beta):
     """n-point Gauss-Jacobi rule on [-1, 1] for the weight (1-x)^alpha (1+x)^beta.
 
     The Chebyshev weight (alpha, beta) = (-1/2, -1/2), the default
-    collocation and error-norm weight, has its rule in closed form from
-    CHEBYSHEV_MIN_POINTS points up: nodes cos((2k-1)pi/2n), here written as
-    sin(pi (2k-1-n)/2n) so that they are exactly antisymmetric, and weights
-    pi/n. It takes O(n) time and memory at any n. Every other rule, and a
-    Chebyshev rule of fewer points, comes from Golub-Welsch: the nodes are
-    the eigenvalues of the symmetric tridiagonal matrix of recurrence
+    collocation and error-norm weight, has its rule in closed form at every
+    n: nodes cos((2k-1)pi/2n), here written as sin(pi (2k-1-n)/2n) so that
+    they are exactly antisymmetric, and weights pi/n, in O(n) time and
+    memory. Every other rule comes from Golub-Welsch: the nodes are the
+    eigenvalues of the symmetric tridiagonal matrix of recurrence
     coefficients (equivalently the zeros of J_n^(alpha,beta)); the weights
     come from the first components of the eigenvectors scaled by the zeroth
     moment. The matrix is diagonalised densely by numpy's eigh, in O(n^3)
@@ -111,16 +98,15 @@ def gauss_jacobi(n_points, alpha, beta):
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("Jacobi parameters must exceed -1")
-    if alpha == beta == -0.5 and n_points >= CHEBYSHEV_MIN_POINTS:
+    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise ValueError("Jacobi parameters must be finite and exceed -1, "
+                         f"got alpha = {alpha}, beta = {beta}")
+    if alpha == beta == -0.5:
         k = np.arange(1 - n_points, n_points, 2, dtype=float)
         return np.sin(k * (math.pi / (2 * n_points))), np.full(n_points, math.pi / n_points)
     mu0 = math.exp((alpha + beta + 1) * math.log(2.0) + math.lgamma(alpha + 1)
                    + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2))
     diag, off = _jacobi_recurrence(n_points, alpha, beta)
-    if n_points == 1:
-        return diag.copy(), np.array([mu0])
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = mu0 * vecs[0, :] ** 2
     return nodes, weights

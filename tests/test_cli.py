@@ -328,11 +328,25 @@ def test_config_overflow_is_an_error_line_not_a_traceback(tmp_path, capsys):
         "error: line 5: bad value for T: beta(1e-308, 1e-308) overflows"]
 
 
-def test_gamma_override_only_ex1(capsys):
-    code, _, stderr = run(["solve", "--problem", "ex2", "--n", "4",
-                           "--gamma-override", "2"], capsys)
+def test_gamma_override_only_ex1(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(CONFIG)
+    for problem in ("ex2", str(cfg)):
+        code, _, stderr = run(["solve", "--problem", problem, "--n", "4",
+                               "--gamma-override", "2"], capsys)
+        assert code == 1
+        assert stderr == "error: --gamma-override only applies to ex1\n"
+
+
+@pytest.mark.parametrize("flag,value,named", [("--alpha", "nan", "alpha = nan, beta = -0.5"),
+                                              ("--beta", "nan", "alpha = -0.5, beta = nan"),
+                                              ("--alpha", "inf", "alpha = inf, beta = -0.5")])
+def test_non_finite_jacobi_parameter_is_an_error_line(flag, value, named, capsys):
+    code, stdout, stderr = run(["solve", "--problem", "ex1", "--n", "4", flag, value], capsys)
     assert code == 1
-    assert "gamma-override" in stderr
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        f"error: Jacobi parameters must be finite and exceed -1, got {named}"]
 
 
 def test_gamma_override_changes_ex1(tmp_path, capsys):

@@ -69,7 +69,9 @@ def _flattened_kernel(lam, mu, scale, c0, c1):
     exactly; the kernel cancels the ratio ((1 - x)/(1 - x**lam))**-mu."""
     def kbar(theta, eta):
         x = eta / (scale * theta)
-        return np.exp(mu * (np.log1p(-x) - np.log1p(-x ** lam))) * (c0 + c1 * x ** lam)
+        # 1 - x**lam by expm1: the subtraction cancels as x -> 1
+        log_ratio = np.log1p(-x) - np.log(-np.expm1(lam * np.log(x)))
+        return np.exp(mu * log_ratio) * (c0 + c1 * x ** lam)
 
     return kbar
 

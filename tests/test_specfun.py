@@ -8,7 +8,6 @@ from scipy.special import roots_jacobi
 
 from fracvide.specfun import (
     BETA_STIRLING_MIN,
-    CHEBYSHEV_MIN_POINTS,
     QuadratureRule,
     beta,
     frac_gauss_jacobi,
@@ -165,6 +164,13 @@ def test_gauss_jacobi_one_point_moments(alpha, beta_):
     assert weights[0] == pytest.approx(2 ** (alpha + beta_ + 1) * beta(alpha + 1, beta_ + 1), rel=1e-13)
 
 
+@pytest.mark.parametrize("alpha,beta_", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                         (0.0, -math.inf), (-1.0, 0.0), (0.0, -1.5)])
+def test_gauss_jacobi_rejects_bad_parameters(alpha, beta_):
+    with pytest.raises(ValueError, match=f"alpha = {alpha}, beta = {beta_}"):
+        gauss_jacobi(4, alpha, beta_)
+
+
 def test_gauss_jacobi_nodes_are_jacobi_zeros():
     for n, alpha, beta_ in [(5, -0.5, -0.5), (12, 0.0, 1.5), (20, -0.9, -0.3)]:
         nodes, _ = gauss_jacobi(n, alpha, beta_)
@@ -182,13 +188,13 @@ def test_gauss_jacobi_against_scipy():
         assert weights == pytest.approx(ref_weights, rel=1e-11)
 
 
-@pytest.mark.parametrize("n", [1, 2, 64, 800, 1028, 3200])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 63, 64, 800, 1028, 3200])
 def test_chebyshev_rule_nodes_against_scipy(n):
     nodes, _ = gauss_jacobi(n, -0.5, -0.5)
     assert nodes == pytest.approx(roots_jacobi(n, -0.5, -0.5)[0], abs=1e-15)
 
 
-@pytest.mark.parametrize("n", [CHEBYSHEV_MIN_POINTS, 200, 257, 1028, 3200])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 41, 63, 64, 200, 257, 1028, 3200])
 def test_chebyshev_rule_is_closed_form(n):
     nodes, weights = gauss_jacobi(n, -0.5, -0.5)
     assert np.max(np.abs(weights / (math.pi / n) - 1.0)) <= 1e-15
