@@ -2,8 +2,8 @@
 
 Grammar (see docs/expression-grammar.md): numbers, named variables,
 unary minus, binary + - * / ^ with ^ right-associative, and the function
-calls exp, ln, sin, cos, sqrt, pow, beta, abs. Parsing is a Pratt
-(precedence-climbing) parser with positions preserved for error messages.
+calls exp, ln, sin, cos, sqrt, pow, beta, abs. One regular expression
+splits ASCII text into tokens, and precedence climbing parses them.
 An expression is compiled once: its variable-free subexpressions are
 evaluated then, and the rest becomes nested numpy closures that evaluate
 elementwise on scalars or arrays in strict IEEE double arithmetic, and
@@ -12,6 +12,7 @@ returning NaN.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,6 @@ class Call:
 
 Expr = Num | Var | Neg | BinOp | Call
 
-_OPERATORS = set("+-*/^")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _MAX_DEPTH = 64
 
@@ -81,132 +81,88 @@ class Token:
         return float(self.text)
 
 
+# One alternative per token kind, from the EBNF in docs/expression-grammar.md;
+# "space" is skipped, and "illegal" takes any other single character.
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^])
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<comma>,)
+  | (?P<illegal>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def tokenize(source):
     """Split source into tokens; raises ExprSyntaxError on illegal characters."""
     if not source or source.isspace():
         raise ExprSyntaxError("empty expression", 0)
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            tokens.append(Token("num", source[start:i], start))
-        elif c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", source[start:i], start))
-        elif c in _OPERATORS:
-            tokens.append(Token("op", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(Token("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(Token("rparen", c, i))
-            i += 1
-        elif c == ",":
-            tokens.append(Token("comma", c, i))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"illegal character {c!r}", i)
-    tokens.append(Token("end", "", n))
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
+            continue
+        if kind == "illegal":
+            raise ExprSyntaxError(f"illegal character {match[0]!r}", match.start())
+        tokens.append(Token(kind, match[0], match.start()))
+    tokens.append(Token("end", "", len(source)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
+def parse(source):
+    """Parse a source string into an Expr by precedence climbing."""
+    tokens = tokenize(source)
+    i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok.kind != kind:
+    def take(kind=None):
+        nonlocal i
+        tok = tokens[i]
+        if kind is not None and tok.kind != kind:
             raise ExprSyntaxError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.pos)
+        i += 1
         return tok
 
-    def parse_expression(self, min_bp=0):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ExprSyntaxError("expression nested too deeply", self.peek().pos)
-        try:
-            left = self._prefix()
-            while True:
-                tok = self.peek()
-                if tok.kind != "op" or tok.text not in _PRECEDENCE:
-                    break
-                bp = _PRECEDENCE[tok.text]
-                if bp <= min_bp:
-                    break
-                self.advance()
-                # right-associative power: allow equal precedence on the right
-                right = self.parse_expression(bp - 1 if tok.text == "^" else bp)
-                left = BinOp(tok.text, left, right)
-            return left
-        finally:
-            self.depth -= 1
+    def expression(min_bp, depth):
+        """The longest expression whose operators all bind tighter than min_bp."""
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", tokens[i].pos)
+        left = prefix(depth)
+        while tokens[i].kind == "op" and _PRECEDENCE[tokens[i].text] > min_bp:
+            op = take().text
+            bp = _PRECEDENCE[op] - (op == "^")   # ^ is right-associative
+            left = BinOp(op, left, expression(bp, depth + 1))
+        return left
 
-    def _prefix(self):
-        tok = self.advance()
+    def prefix(depth):
+        tok = take()
         if tok.kind == "num":
-            value = tok.value
-            if math.isinf(value):
+            if math.isinf(tok.value):
                 raise ExprSyntaxError(f"number {tok.text} is too large for a double", tok.pos)
-            return Num(value)
+            return Num(tok.value)
+        if tok.kind == "ident" and tokens[i].kind == "lparen":
+            take()
+            args = [expression(0, depth + 1)]
+            while tokens[i].kind == "comma":
+                take()
+                args.append(expression(0, depth + 1))
+            take("rparen")
+            return Call(tok.text, tuple(args))
         if tok.kind == "ident":
-            if self.peek().kind == "lparen":
-                self.advance()
-                args = [self.parse_expression()]
-                while self.peek().kind == "comma":
-                    self.advance()
-                    args.append(self.parse_expression())
-                self.expect("rparen")
-                return Call(tok.text, tuple(args))
             return Var(tok.text)
         if tok.kind == "lparen":
-            inner = self.parse_expression()
-            self.expect("rparen")
+            inner = expression(0, depth + 1)
+            take("rparen")
             return inner
-        if tok.kind == "op" and tok.text == "-":
-            return Neg(self.parse_expression(_UNARY_PRECEDENCE))
-        if tok.kind == "op" and tok.text == "+":
-            return self.parse_expression(_UNARY_PRECEDENCE)
+        if tok.text in ("+", "-"):
+            operand = expression(_UNARY_PRECEDENCE, depth + 1)
+            return Neg(operand) if tok.text == "-" else operand
         raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 
-
-def parse(source):
-    """Parse a source string into an Expr."""
-    parser = _Parser(tokenize(source))
-    expr = parser.parse_expression()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(f"unexpected {trailing.text!r} after expression", trailing.pos)
+    expr = expression(0, 1)
+    if tokens[i].kind != "end":
+        raise ExprSyntaxError(f"unexpected {tokens[i].text!r} after expression", tokens[i].pos)
     return expr
 
 

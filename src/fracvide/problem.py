@@ -232,6 +232,19 @@ def _zero_kernel(t, s):
     return np.zeros(np.broadcast(t, s).shape)
 
 
+def _variables(expr):
+    """The variable names in an expression tree, left to right."""
+    if isinstance(expr, exprlang.Var):
+        return [expr.name]
+    if isinstance(expr, exprlang.Neg):
+        return _variables(expr.operand)
+    if isinstance(expr, exprlang.BinOp):
+        return _variables(expr.left) + _variables(expr.right)
+    if isinstance(expr, exprlang.Call):
+        return [name for arg in expr.args for name in _variables(arg)]
+    return []
+
+
 def parse_problem_config(text, name="config"):
     """Build a ProblemSpec from flat key = expression text.
 
@@ -275,6 +288,12 @@ def parse_problem_config(text, name="config"):
         value, lineno = entries[key]
         try:
             compiled = exprlang.compile_function(value, arity_vars)
+            # every name is evaluated, so one the function cannot see would
+            # fail the first call; this names it, and its line, at load time
+            visible = {*arity_vars, *_SCALAR_KEYS, "pi", "e"}
+            for var in _variables(exprlang.parse(value)):
+                if var not in visible:
+                    raise exprlang.ExprEvalError(f"unbound variable {var!r}")
         except ValueError as err:
             raise ValueError(f"line {lineno}: bad expression for {key}: {err}") from err
         if len(arity_vars) == 1:

@@ -1,18 +1,162 @@
-"""Tree-walking expression evaluator, kept as the oracle for exprlang.
+"""Oracles for exprlang: a hand-written front end and a tree-walking evaluator.
 
-This is the evaluator that `fracvide.exprlang.compile_function` used before
-it folded literal-only subtrees and specialised constant exponents: every
-node is a closure that runs on every call, every power tests its exponent,
-and every call copies the constants and converts each binding to an array.
-It shares the parser of `fracvide.exprlang`.
+`oracle_tokenize` and `oracle_parse` are the scanner and parser that
+`fracvide.exprlang` used before its tokenizer became one regular expression
+and its parser a set of nested functions: a loop that branches on each
+character, with `str.isdigit` and `str.isalpha` deciding digits and letters,
+and a parser class. On ASCII input they give the same tokens, trees, error
+messages and offsets as `fracvide.exprlang`.
+
+The evaluator is the one that `fracvide.exprlang.compile_function` used
+before it folded literal-only subtrees and specialised constant exponents:
+every node is a closure that runs on every call, every power tests its
+exponent, and every call copies the constants and converts each binding to
+an array. It uses the parser of `fracvide.exprlang`.
 """
 
 import math
 
 import numpy as np
 
-from fracvide.exprlang import BinOp, Call, ExprEvalError, Neg, Num, Var, parse
+from fracvide.exprlang import (
+    BinOp, Call, ExprEvalError, ExprSyntaxError, Neg, Num, Token, Var, parse,
+)
 from fracvide.specfun import beta as _beta_fn
+
+_OPERATORS = set("+-*/^")
+_MAX_DEPTH = 64
+_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+_UNARY_PRECEDENCE = 25
+
+
+def oracle_tokenize(source):
+    """Split source into tokens; raises ExprSyntaxError on illegal characters."""
+    if not source or source.isspace():
+        raise ExprSyntaxError("empty expression", 0)
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+        elif c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+            start = i
+            while i < n and source[i].isdigit():
+                i += 1
+            if i < n and source[i] == ".":
+                i += 1
+                while i < n and source[i].isdigit():
+                    i += 1
+            if i < n and source[i] in "eE":
+                j = i + 1
+                if j < n and source[j] in "+-":
+                    j += 1
+                if j < n and source[j].isdigit():
+                    i = j
+                    while i < n and source[i].isdigit():
+                        i += 1
+            tokens.append(Token("num", source[start:i], start))
+        elif c.isalpha() or c == "_":
+            start = i
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            tokens.append(Token("ident", source[start:i], start))
+        elif c in _OPERATORS:
+            tokens.append(Token("op", c, i))
+            i += 1
+        elif c == "(":
+            tokens.append(Token("lparen", c, i))
+            i += 1
+        elif c == ")":
+            tokens.append(Token("rparen", c, i))
+            i += 1
+        elif c == ",":
+            tokens.append(Token("comma", c, i))
+            i += 1
+        else:
+            raise ExprSyntaxError(f"illegal character {c!r}", i)
+    tokens.append(Token("end", "", n))
+    return tokens
+
+
+class _OracleParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok.kind != kind:
+            raise ExprSyntaxError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.pos)
+        return tok
+
+    def parse_expression(self, min_bp=0):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", self.peek().pos)
+        try:
+            left = self._prefix()
+            while True:
+                tok = self.peek()
+                if tok.kind != "op" or tok.text not in _PRECEDENCE:
+                    break
+                bp = _PRECEDENCE[tok.text]
+                if bp <= min_bp:
+                    break
+                self.advance()
+                # right-associative power: allow equal precedence on the right
+                right = self.parse_expression(bp - 1 if tok.text == "^" else bp)
+                left = BinOp(tok.text, left, right)
+            return left
+        finally:
+            self.depth -= 1
+
+    def _prefix(self):
+        tok = self.advance()
+        if tok.kind == "num":
+            value = tok.value
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number {tok.text} is too large for a double", tok.pos)
+            return Num(value)
+        if tok.kind == "ident":
+            if self.peek().kind == "lparen":
+                self.advance()
+                args = [self.parse_expression()]
+                while self.peek().kind == "comma":
+                    self.advance()
+                    args.append(self.parse_expression())
+                self.expect("rparen")
+                return Call(tok.text, tuple(args))
+            return Var(tok.text)
+        if tok.kind == "lparen":
+            inner = self.parse_expression()
+            self.expect("rparen")
+            return inner
+        if tok.kind == "op" and tok.text == "-":
+            return Neg(self.parse_expression(_UNARY_PRECEDENCE))
+        if tok.kind == "op" and tok.text == "+":
+            return self.parse_expression(_UNARY_PRECEDENCE)
+        raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+
+
+def oracle_parse(source):
+    """Parse a source string into an Expr."""
+    parser = _OracleParser(oracle_tokenize(source))
+    expr = parser.parse_expression()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ExprSyntaxError(f"unexpected {trailing.text!r} after expression", trailing.pos)
+    return expr
+
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 

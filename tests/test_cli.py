@@ -69,6 +69,19 @@ def test_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_import_needs_only_the_standard_library_and_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracvide.__file__)))
+    packages = os.path.dirname(os.path.dirname(os.path.abspath(np.__file__)))
+    # -S: no site hooks, so every module loaded is one the import asks for
+    probe = ("import sys, fracvide.cli; "
+             "print(*sorted({name.partition('.')[0] for name in sys.modules}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, packages]))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    outside = set(done.stdout.split()) - set(sys.stdlib_module_names) - {"__main__"}
+    assert outside == {"fracvide", "numpy"}
+
+
 def test_solve_default_flags_are_explicit_defaults(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -326,6 +339,19 @@ def test_config_overflow_is_an_error_line_not_a_traceback(tmp_path, capsys):
     assert stdout == ""
     assert stderr.splitlines() == [
         "error: line 5: bad value for T: beta(1e-308, 1e-308) overflows"]
+
+
+def test_config_with_a_non_ascii_digit_is_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "arabic.cfg"
+    cfg.write_text(CONFIG.replace("p = t^(5/3)", "p = ٣*t"), encoding="utf-8")
+    out = tmp_path / "sol.json"
+    code, stdout, stderr = run(["solve", "--problem", str(cfg), "--n", "4", "--out", str(out)],
+                               capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        "error: line 7: bad expression for p: illegal character '٣' (at offset 0)"]
+    assert not out.exists()
 
 
 def test_gamma_override_only_ex1(tmp_path, capsys):

@@ -365,3 +365,43 @@ def test_overflowing_literal_is_a_syntax_error(source, offset):
 def test_largest_and_underflowing_literals_parse():
     assert parse("1.7976931348623157e308") == Num(1.7976931348623157e308)
     assert parse("1e-400") == Num(0.0)
+
+
+@pytest.mark.parametrize("source,offset", [("t^²", 2), ("٣+1", 0), ("t²", 1), ("é*t", 0)])
+def test_non_ascii_characters_are_syntax_errors(source, offset):
+    with pytest.raises(ExprSyntaxError, match=f"illegal character '{source[offset]}'") as err:
+        parse(source)
+    assert err.value.position == offset
+
+
+_FUZZ_PIECES = [*"0123456789.eE+-*/^(),", " ", "\t", "\n",
+                "t", "s", "mu", "pi", "cos", "pow", "_x1", "1e400", "$"]
+_CHAINS = (lambda d: "(" * d + "1" + ")" * d, lambda d: "-" * d + "t",
+           lambda d: "^".join(["2"] * d), lambda d: "cos(" * d + "t" + ")" * d)
+
+
+def _fuzz_sources(rng, count):
+    """count random strings over an ASCII alphabet, then every chain of
+    parentheses, unary minus, ^ and calls 62 to 65 deep, with a few tails."""
+    for _ in range(count):
+        yield "".join(rng.choices(_FUZZ_PIECES, k=rng.randint(0, 8)))
+    for chain in _CHAINS:
+        for depth in range(62, 66):
+            for tail in ("", ")", "+1", "^t", ",1", "$"):
+                yield chain(depth) + tail
+
+
+def _parsed(parse_fn, source):
+    """The tree, or the message and offset of the syntax error."""
+    try:
+        return parse_fn(source)
+    except ExprSyntaxError as err:
+        return str(err), err.position
+
+
+def test_parse_matches_the_oracle_parser_on_ascii():
+    sources = list(_fuzz_sources(random.Random(20241015), 40000))
+    trees = [_parsed(parse, source) for source in sources]
+    assert [source for source, tree in zip(sources, trees)
+            if tree != _parsed(oracle_exprlang.oracle_parse, source)] == []
+    assert sum(not isinstance(tree, tuple) for tree in trees) > 4000

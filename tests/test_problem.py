@@ -285,6 +285,37 @@ def test_config_rejects_a_non_finite_scalar(key, value, message, tmp_path):
         load_problem(path)
 
 
+def _with_line(key, value):
+    """CONFIG with g = sin(t) for the exact solution, and key set to value;
+    the text and the line number of key."""
+    lines = [line for line in CONFIG.splitlines() if not line.startswith("exact")] + ["g = sin(t)"]
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {value}"
+    return "\n".join(lines), lineno
+
+
+@pytest.mark.parametrize("key,value,name", [
+    ("K1", "exp(-t*tau)", "tau"),
+    ("K2", "1 + s^2", "s"),
+    ("g", "sin(x)", "x"),
+])
+def test_config_names_a_variable_the_function_cannot_see(key, value, name):
+    text, lineno = _with_line(key, value)
+    with pytest.raises(ValueError,
+                       match=f"^line {lineno}: bad expression for {key}: unbound variable '{name}'$"):
+        parse_problem_config(text)
+
+
+@pytest.mark.parametrize("key,value,args,expected", [
+    ("K1", "cos(pi*t*s)*e^(mu+gamma+eps+T+y0)", (0.5, 0.25), math.cos(math.pi / 8) * math.e ** 3),
+    ("K2", "tau*t", (0.5, 0.25), 0.125),
+    ("g", "sin(pi*t)", (0.5,), 1.0),
+])
+def test_config_functions_see_their_variables_the_scalars_and_constants(key, value, args,
+                                                                       expected):
+    spec = parse_problem_config(_with_line(key, value)[0])
+    assert getattr(spec, key)(*args) == pytest.approx(expected, rel=1e-15)
+
 def test_load_problem_from_file(tmp_path):
     path = tmp_path / "pantograph.cfg"
     path.write_text(CONFIG)
