@@ -50,11 +50,15 @@ def _parse_n_range(text):
     return list(range(start, stop + 1, step))
 
 
-def _positive_int(text):
-    """argparse type of a count that must be at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(least, kind):
+    """argparse type of an integer no smaller than least; its error message
+    asks for a kind integer ("positive", "nonnegative")."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _check_output_dir(args):
@@ -201,7 +205,7 @@ def build_parser():
         p.add_argument("--beta", type=float, default=-0.5,
                        help="collocation Jacobi exponent beta (default -0.5)")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--quad-points", type=_positive_int, default=None,
+        p.add_argument("--quad-points", type=_int_at_least(1, "positive"), default=None,
                        help="points for the error-norm quadrature "
                             "(default max(200, 4(N+1)))")
         p.add_argument("--gamma-override", type=float, default=None,
@@ -209,7 +213,8 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="solve one (N, lambda) discretization")
     common(p_solve)
-    p_solve.add_argument("--n", type=int, required=True, help="polynomial degree N")
+    p_solve.add_argument("--n", type=_int_at_least(0, "nonnegative"), required=True,
+                         help="polynomial degree N")
     p_solve.set_defaults(func=run_solve)
 
     p_sweep = sub.add_parser("sweep", help="convergence sweep over an N range")
@@ -218,7 +223,7 @@ def build_parser():
     p_sweep.add_argument("--format", choices=("csv", "text"), default="csv")
     p_sweep.add_argument("--ref-lambda", type=float, default=0.5,
                          help="reference lambda when no exact solution exists")
-    p_sweep.add_argument("--ref-n", type=int, default=18,
+    p_sweep.add_argument("--ref-n", type=_int_at_least(0, "nonnegative"), default=18,
                          help="reference degree when no exact solution exists")
     p_sweep.set_defaults(func=run_sweep)
 
@@ -239,7 +244,7 @@ def main(argv=None):
     try:
         _check_output_dir(args)
         return args.func(args)
-    except (CliError, ValueError, RuntimeError, OSError) as err:
+    except (CliError, ValueError, RuntimeError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -84,11 +84,9 @@ class CollocationSystem:
 
 
 def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5):
-    """Assemble the collocation system for the transformed problem tp."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lam must lie in (0, 1], got {lam}")
+    """Assemble the collocation system for the transformed problem tp.
+
+    build_basis rejects a negative n and then a lam outside (0, 1]."""
     mu, gam, eps = tp.mu, tp.gamma, tp.eps
 
     basis = build_basis(n, alpha_c, beta_c, lam)

@@ -4,11 +4,13 @@ Grammar (see docs/expression-grammar.md): numbers, named variables,
 unary minus, binary + - * / ^ with ^ right-associative, and the function
 calls exp, ln, sin, cos, sqrt, pow, beta, abs. One regular expression
 splits ASCII text into tokens, and precedence climbing parses them.
-An expression is compiled once: its variable-free subexpressions are
-evaluated then, and the rest becomes nested numpy closures that evaluate
-elementwise on scalars or arrays in strict IEEE double arithmetic, and
-raise on domain violations, naming the first value at fault, instead of
-returning NaN.
+An expression is compiled once, over named variables and constants: each
+constant (pi, e and any the caller passes) becomes its number, any other
+name that is not a variable is rejected, and the subexpressions free of
+variables are evaluated then. The rest becomes nested numpy closures that
+evaluate elementwise on scalars or arrays in strict IEEE double
+arithmetic, and raise on domain violations, naming the first value at
+fault, instead of returning NaN.
 """
 
 import math
@@ -290,91 +292,98 @@ def _function(call):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run(compiled, env):
-    """compiled(env); overflow and invalid results are reported by the checks,
-    not as warnings."""
-    return compiled(env)
+def _run(compiled, values):
+    """compiled(values); overflow and invalid results are reported by the
+    checks, not as warnings."""
+    return compiled(values)
 
 
-def _fold(expr):
-    """expr with each subtree that holds no variable replaced by its value.
+def _fold(expr, constants):
+    """expr with each constant replaced by a Num, and then each subtree
+    that holds no variable replaced by its value.
 
     Such a subtree is evaluated once, here, by the same operations and
     checks as at evaluation, so its value has the same bits. One whose
-    evaluation raises is kept, to raise at evaluation. pi and e are
-    variables, since a binding may override them. An unknown function or
-    a wrong arity raises here, in the order of the tree.
+    evaluation raises is kept, to raise at evaluation. An unknown function
+    or a wrong arity raises here, in the order of the tree.
     """
+    if isinstance(expr, Var):
+        return Num(constants[expr.name]) if expr.name in constants else expr
     if isinstance(expr, Neg):
-        expr = Neg(_fold(expr.operand))
+        expr = Neg(_fold(expr.operand, constants))
         operands = (expr.operand,)
     elif isinstance(expr, BinOp):
-        expr = BinOp(expr.op, _fold(expr.left), _fold(expr.right))
+        expr = BinOp(expr.op, _fold(expr.left, constants), _fold(expr.right, constants))
         operands = (expr.left, expr.right)
     elif isinstance(expr, Call):
         _function(expr)
-        expr = Call(expr.name, tuple(_fold(a) for a in expr.args))
+        expr = Call(expr.name, tuple(_fold(a, constants) for a in expr.args))
         operands = expr.args
     else:
         return expr
     if not all(isinstance(a, Num) for a in operands):
         return expr
     try:
-        value = _run(_closure(expr), {})
+        value = _run(_closure(expr, ()), ())
     except ValueError:
         return expr
     return Num(float(value))
 
 
-def _closure(expr):
-    """Turn an Expr into a closure of the variable bindings.
+def _closure(expr, names):
+    """Turn a folded Expr into a closure of the values of the variables names.
 
     Every operation is a numpy ufunc, so the closure evaluates elementwise on
     scalars and arrays alike, and an element gets the same bits whether it
     is bound alone or in an array. Domain checks test the whole array and
-    name the first value at fault.
+    name the first value at fault. A name that is not a variable raises.
     """
     if isinstance(expr, Num):
         value = expr.value
-        return lambda env: value
+        return lambda values: value
     if isinstance(expr, Var):
-        name = expr.name
-        if name in _CONSTANTS:
-            constant = _CONSTANTS[name]
-            return lambda env: env.get(name, constant)
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise ExprEvalError(f"unbound variable {name!r}") from None
-
-        return var
+        if expr.name not in names:
+            raise ExprEvalError(f"unbound variable {expr.name!r}")
+        index = names.index(expr.name)
+        return lambda values: values[index]
     if isinstance(expr, Neg):
-        operand = _closure(expr.operand)
-        return lambda env: np.negative(operand(env))
+        operand = _closure(expr.operand, names)
+        return lambda values: np.negative(operand(values))
     if isinstance(expr, BinOp):
         if expr.op == "^":
-            return _power_closure(expr.left, expr.right)
-        op, left, right = _BINARY[expr.op], _closure(expr.left), _closure(expr.right)
-        return lambda env: op(left(env), right(env))
+            return _power_closure(expr.left, expr.right, names)
+        op = _BINARY[expr.op]
+        left, right = _closure(expr.left, names), _closure(expr.right, names)
+        return lambda values: op(left(values), right(values))
     if isinstance(expr, Call):
         fn = _function(expr)
         if fn is _power:
-            return _power_closure(*expr.args)
-        args = tuple(_closure(a) for a in expr.args)
-        return lambda env: fn(*[a(env) for a in args])
+            return _power_closure(*expr.args, names)
+        args = tuple(_closure(a, names) for a in expr.args)
+        return lambda values: fn(*[a(values) for a in args])
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _power_closure(base, exponent):
+def _power_closure(base, exponent, names):
     """The closure of base^exponent, specialised when the exponent is a number."""
-    base = _closure(base)
+    base = _closure(base, names)
     if isinstance(exponent, Num):
         power = _constant_power(exponent.value)
-        return lambda env: power(base(env))
-    exponent = _closure(exponent)
-    return lambda env: _power(base(env), exponent(env))
+        return lambda values: power(base(values))
+    exponent = _closure(exponent, names)
+    return lambda values: _power(base(values), exponent(values))
+
+
+def _compile(expr, variables, constants):
+    """(folded tree, closure) of expr over the positional variables.
+
+    pi and e are the default constants; a passed constant overrides them,
+    and a variable of the same name shadows both."""
+    names = tuple(variables)
+    bound = {name: float(value) for name, value in {**_CONSTANTS, **(constants or {})}.items()
+             if name not in names}
+    tree = _fold(expr, bound)
+    return tree, _closure(tree, names)
 
 
 def evaluate(expr, bindings=None):
@@ -382,8 +391,10 @@ def evaluate(expr, bindings=None):
 
     Bindings may be scalars or arrays; the result is a float when it is a
     single value and an array otherwise."""
-    env = {name: np.asarray(value, dtype=float) for name, value in (bindings or {}).items()}
-    out = np.asarray(_run(_closure(_fold(expr)), env), dtype=float)
+    bindings = bindings or {}
+    _, compiled = _compile(expr, bindings, None)
+    values = [np.asarray(value, dtype=float) for value in bindings.values()]
+    out = np.asarray(_run(compiled, values), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -415,30 +426,26 @@ def _print(expr, parent_bp):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def compile_function(source, variables):
-    """Parse and compile once; return f(*values, **extra).
+def compile_function(source, variables, constants=None):
+    """Parse and compile once; return f(*values).
 
     The positional values bind the named variables and are broadcast
-    against each other; the keyword values bind further names (problem
-    constants). f evaluates elementwise: it returns a float when every
-    positional value is a scalar, and otherwise a new array of their
-    broadcast shape.
+    against each other. constants maps further names (problem constants)
+    to numbers, which are folded into the expression here, as pi and e
+    are; any other name raises ExprEvalError now. f evaluates elementwise:
+    it returns a float when every value is a scalar, and otherwise a new
+    array of their broadcast shape.
     """
-    tree = _fold(parse(source))
-    compiled = _closure(tree)
     names = tuple(variables)
+    tree, compiled = _compile(parse(source), names, constants)
     # any other root is a ufunc result, a new array; a variable is its binding
     fresh = not isinstance(tree, Var)
 
-    def fn(*values, **extra):
+    def fn(*values):
         if len(values) != len(names):
             raise TypeError(f"expected {len(names)} positional values for {names}")
         values = [np.asarray(v, dtype=float) for v in values]
-        env = dict(zip(names, values))
-        for name, value in extra.items():
-            # the ufuncs take a Python float as a double; it needs no array
-            env[name] = value if type(value) is float else np.asarray(value, dtype=float)
-        out = _run(compiled, env)
+        out = _run(compiled, values)
         shape = (values[0].shape if len(values) == 1
                  else np.broadcast_shapes(*(v.shape for v in values)))
         if not shape:

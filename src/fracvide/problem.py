@@ -228,31 +228,16 @@ _FUNCTION_KEYS = {"p": ("t",), "q": ("t",), "g": ("t",),
                   "exact": ("t",), "exact_prime": ("t",)}
 
 
-def _zero_kernel(t, s):
-    return np.zeros(np.broadcast(t, s).shape)
-
-
-def _variables(expr):
-    """The variable names in an expression tree, left to right."""
-    if isinstance(expr, exprlang.Var):
-        return [expr.name]
-    if isinstance(expr, exprlang.Neg):
-        return _variables(expr.operand)
-    if isinstance(expr, exprlang.BinOp):
-        return _variables(expr.left) + _variables(expr.right)
-    if isinstance(expr, exprlang.Call):
-        return [name for arg in expr.args for name in _variables(arg)]
-    return []
-
-
 def parse_problem_config(text, name="config"):
     """Build a ProblemSpec from flat key = expression text.
 
     Recognized keys: mu, gamma, eps, T, y0 (scalar expressions) and
     p, q, g, K1, K2, exact, exact_prime (function expressions over t, and
-    s/tau for the kernels, with mu, gamma, eps, T, y0, pi, e bound).
-    Supply either g, or exact with exact_prime (the forcing is then
-    manufactured); giving both is an error.
+    s/tau for the kernels). mu, gamma, eps, T, y0, pi and e are constants
+    in the function expressions, folded in when each is compiled; any
+    other name is an error at load. A missing K1 or K2 is 0. Supply either
+    g, or exact with exact_prime (the forcing is then manufactured); giving
+    both is an error.
     """
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -282,31 +267,22 @@ def parse_problem_config(text, name="config"):
         except ValueError as err:
             raise ValueError(f"line {lineno}: bad value for {key}: {err}") from err
 
-    consts = dict(scalars)
-
-    def make_fn(key, arity_vars):
-        value, lineno = entries[key]
+    def make_fn(key, default=None):
+        """key's expression, or default when key is absent, compiled with the
+        scalars as constants."""
+        value, lineno = entries.get(key, (default, None))
         try:
-            compiled = exprlang.compile_function(value, arity_vars)
-            # every name is evaluated, so one the function cannot see would
-            # fail the first call; this names it, and its line, at load time
-            visible = {*arity_vars, *_SCALAR_KEYS, "pi", "e"}
-            for var in _variables(exprlang.parse(value)):
-                if var not in visible:
-                    raise exprlang.ExprEvalError(f"unbound variable {var!r}")
+            return exprlang.compile_function(value, _FUNCTION_KEYS[key], scalars)
         except ValueError as err:
             raise ValueError(f"line {lineno}: bad expression for {key}: {err}") from err
-        if len(arity_vars) == 1:
-            return lambda t: compiled(t, **consts)
-        return lambda t, s: compiled(t, s, **consts)
 
     fns = {}
     for key in ("p", "q"):
         if key not in entries:
             raise ValueError(f"missing required key {key!r}")
-        fns[key] = make_fn(key, _FUNCTION_KEYS[key])
+        fns[key] = make_fn(key)
     for key in ("K1", "K2"):
-        fns[key] = make_fn(key, _FUNCTION_KEYS[key]) if key in entries else _zero_kernel
+        fns[key] = make_fn(key, default="0")
 
     has_exact = "exact" in entries
     if has_exact != ("exact_prime" in entries):
@@ -320,10 +296,10 @@ def parse_problem_config(text, name="config"):
         mu=scalars["mu"], gamma=scalars["gamma"], eps=scalars["eps"],
         T=scalars["T"], y0=scalars["y0"],
         p=fns["p"], q=fns["q"],
-        g=make_fn("g", ("t",)) if "g" in entries else None,
+        g=make_fn("g") if "g" in entries else None,
         K1=fns["K1"], K2=fns["K2"],
-        exact=make_fn("exact", ("t",)) if has_exact else None,
-        exact_prime=make_fn("exact_prime", ("t",)) if has_exact else None,
+        exact=make_fn("exact") if has_exact else None,
+        exact_prime=make_fn("exact_prime") if has_exact else None,
         name=name,
     )
     errors = validate(spec)

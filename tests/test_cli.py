@@ -323,6 +323,42 @@ def test_quad_points_must_be_positive_before_any_solve(command, value, tmp_path,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--problem", "ex1", "--n", "-1"], "--n"),
+    (["solve", "--problem", "ex1", "--n", "two"], "--n"),
+    (["sweep", "--problem", "ex4", "--n", "4:2:8", "--ref-n", "-1"], "--ref-n"),
+])
+def test_degrees_must_be_nonnegative_before_any_solve(argv, flag, capsys, monkeypatch):
+    import fracvide.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"solve ran before {flag} was checked")
+
+    for name in ("assemble", "sweep", "self_reference"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"argument {flag}: must be a nonnegative integer, got '{argv[-1]}'" in stderr
+    assert "solving reference" not in stderr
+
+
+def test_a_reference_too_large_to_allocate_is_an_error_line():
+    # the 5000001 x 5000001 node-difference matrix of the reference basis
+    # exceeds the address space, so numpy refuses it at once
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracvide.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "fracvide.cli", "sweep", "--problem", "ex4", "--n", "2:1:4",
+         "--ref-n", "5000000"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert lines[0] == "no exact solution; solving reference (lambda=0.5, n=5000000)"
+    assert len(lines) == 2 and lines[1].startswith("error: Unable to allocate ")
+
+
 def test_reproduce_rejects_config_path(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(CONFIG)

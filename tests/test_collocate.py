@@ -268,12 +268,15 @@ def test_solver_error_on_singular_system():
 
 def test_assemble_validates_arguments():
     tp = transform(builtin("ex1"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
         assemble(tp, -1, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lam must lie in \(0, 1\], got 0.0$"):
         assemble(tp, 4, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lam must lie in \(0, 1\], got 1.7$"):
         assemble(tp, 4, 1.7)
+    # the degree is checked first
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        assemble(tp, -1, 1.7)
 
 
 @pytest.mark.parametrize("mu,eps", [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
@@ -479,12 +482,12 @@ def test_config_without_kernels_has_zero_kernel_matrices():
 def test_config_assembly_calls_each_expression_a_bounded_number_of_times(monkeypatch):
     compile_function = exprlang.compile_function
 
-    def counting(source, variables):
-        fn = compile_function(source, variables)
+    def counting(source, variables, constants=None):
+        fn = compile_function(source, variables, constants)
 
-        def counted(*values, **extra):
+        def counted(*values):
             calls[source] = calls.get(source, 0) + 1
-            return fn(*values, **extra)
+            return fn(*values)
 
         return counted
 
