@@ -1,12 +1,17 @@
 """Error measurement, convergence sweeps, and decay-rate classification.
 
-Errors are reported in the grid sup norm and the weighted L2 norm with the
-collocation weight (exponents alpha_c, beta_c, plain variable), for both
-the solution interpolant and the separate derivative interpolant. A sweep
-solves over an ascending N grid and labels the decay exponential or
-algebraic by comparing linear fits of log(err) against N and against
-log N; the better fit wins provided its R^2 is within 0.02 of a perfect
-fit, otherwise the result is inconclusive.
+Errors are reported in the sup norm over the error grid and the
+collocation nodes and in the weighted L2 norm with the collocation weight
+(exponents alpha_c, beta_c, plain variable), for both the solution
+interpolant and the separate derivative interpolant. Every degree of a
+sweep shares the error grid and, up to N = 49 or under a fixed rule size,
+the error rule, so a sweep evaluates the truth (exact phi and phi', or a
+self-reference) once on each of them and at each degree only on that
+degree's nodes. A sweep labels the decay exponential or algebraic by
+comparing linear fits of log(err) against N and against log N; the better
+fit wins provided its R^2 is within 0.02 of a perfect fit, otherwise the
+result is inconclusive. Cells at the rounding floor of the truth's scale
+are left out of the fit.
 """
 
 import math
@@ -15,12 +20,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .collocate import assemble, solve
-from .fracbasis import default_error_grid, interpolate, sup_norm, weighted_l2_norm
+from .fracbasis import ERROR_GRID, interpolate, sup_norm, weighted_l2_norm
 from .problem import transform
 
 R2_MARGIN = 0.02   # winning fit must have R^2 >= 1 - R2_MARGIN
 MIN_FIT_POINTS = 4
 NOISE_FLOOR = 1e-11
+# an error at or below ROUND_OFF times the truth's scale (max |phi| or
+# max |phi'| on the error grid) is round-off
+ROUND_OFF = 100 * np.finfo(float).eps
 REFERENCE_GAP = 3  # a reference must exceed every compared N by at least this
 
 
@@ -42,13 +50,17 @@ class SweepResult:
     rate_class: str      # "exponential" | "algebraic" | "inconclusive"
     fitted_rate: float
     failures: tuple = () # (n, message) for degrees that failed to solve
+    # round-off floors of the e and e* cells: ROUND_OFF times max |phi| and
+    # max |phi'| on the error grid
+    floor_e: float = 0.0
+    floor_estar: float = 0.0
 
     def restricted(self, ns):
         """This sweep cut down to the degrees ns: their rows and failures,
         with the decay classified again from those rows alone."""
         keep = set(ns)
         rows = tuple(row for row in self.rows if row.n in keep)
-        label, rate = classify_decay([r.n for r in rows], [r.l2_e for r in rows])
+        label, rate = classify_decay([r.n for r in rows], [r.l2_e for r in rows], self.floor_e)
         return replace(self, rows=rows, rate_class=label, fitted_rate=rate,
                        failures=tuple(f for f in self.failures if f[0] in keep))
 
@@ -69,20 +81,29 @@ def error_report(sol, exact_phi, exact_phi_prime, quad_points=None):
 
     The L2 norms use a quad_points Gauss rule, by default
     default_quad_points(N), with the collocation weight the system was
-    assembled with; the sup norms use the default_error_grid.
+    assembled with. Each sup norm is the larger of two maxima: over the
+    fixed fracbasis.ERROR_GRID, and over the collocation nodes, where phi_N
+    and phi*_N are u and u* exactly. So the solution is interpolated on the
+    rule and the grid only, and the truth is evaluated on the rule, the
+    grid and the nodes, once each when phi and phi' share their work per
+    point set (as a self-reference does). A sweep hands in a truth that
+    keeps its values on the grid and on each rule, which its degrees share.
     """
     system = sol.system
     if quad_points is None:
         quad_points = default_quad_points(system.n)
-    grid = default_error_grid(system.basis)
     e, estar = _error_functions(sol, exact_phi, exact_phi_prime)
     # e and e* in turn on each point set, so that they share its barycentric terms
     l2_e = weighted_l2_norm(e, system.alpha_c, system.beta_c, 1.0, quad_points)
     l2_estar = weighted_l2_norm(estar, system.alpha_c, system.beta_c, 1.0, quad_points)
-    linf_e = sup_norm(e, grid)
-    linf_estar = sup_norm(estar, grid)
-    return ErrorReport(n=system.n, lam=system.lam, l2_e=l2_e, linf_e=linf_e,
-                       l2_estar=l2_estar, linf_estar=linf_estar)
+    grid_e, grid_estar = sup_norm(e, ERROR_GRID), sup_norm(estar, ERROR_GRID)
+    nodes = system.basis.nodes
+    nodes_e = sup_norm(lambda theta: exact_phi(theta) - sol.u, nodes)
+    nodes_estar = sup_norm(lambda theta: exact_phi_prime(theta) - sol.u_star, nodes)
+    # np.maximum, unlike max, keeps a NaN of either part
+    return ErrorReport(n=system.n, lam=system.lam, l2_e=l2_e,
+                       linf_e=float(np.maximum(grid_e, nodes_e)), l2_estar=l2_estar,
+                       linf_estar=float(np.maximum(grid_estar, nodes_estar)))
 
 
 def _error_functions(sol, exact_phi, exact_phi_prime):
@@ -112,6 +133,43 @@ def _latest_interpolants(sol):
         return latest[1]
 
     return interpolants
+
+
+class _SharedTruth:
+    """phi and phi' for every degree of one sweep.
+
+    Called on an array of points, phi or phi_prime evaluates both there and
+    keeps the values, read-only; called again on the same array object,
+    either hands out the kept values. The degrees of a sweep share the
+    error grid and each error rule (rules are cached, so one size is one
+    array), so the truth is evaluated there once per sweep, and on each
+    degree's own nodes once.
+    """
+
+    def __init__(self, phi, phi_prime):
+        self._truth = (phi, phi_prime)
+        self._kept = []                     # (points, (phi values, phi' values))
+
+    def _values(self, theta):
+        for points, values in self._kept:
+            if points is theta:
+                return values
+        values = tuple(np.asarray(f(theta)) for f in self._truth)
+        for v in values:
+            v.flags.writeable = False
+        self._kept.append((theta, values))
+        return values
+
+    def phi(self, theta):
+        return self._values(theta)[0]
+
+    def phi_prime(self, theta):
+        return self._values(theta)[1]
+
+    def floors(self):
+        """ROUND_OFF times the largest finite |phi| and |phi'| on the error grid."""
+        return tuple(ROUND_OFF * float(np.fmax.reduce(np.abs(np.ravel(v))))
+                     for v in self._values(ERROR_GRID))
 
 
 @dataclass(frozen=True)
@@ -145,17 +203,18 @@ def self_reference(spec, lambda_ref, n_ref, alpha_c=-0.5, beta_c=-0.5):
                              lam=lambda_ref, n_ref=n_ref)
 
 
-def classify_decay(ns, errs):
+def classify_decay(ns, errs, floor=0.0):
     """Label an error sequence exponential/algebraic/inconclusive.
 
-    Fits log(err) linearly against N and against log N. The higher-R^2 fit
-    wins provided it is nearly perfect (R^2 >= 1 - R2_MARGIN); anything
-    less, too few points, or errors at the rounding floor is inconclusive.
+    Fits log(err) linearly against N and against log N, leaving out errors
+    at or below floor (round-off). The higher-R^2 fit wins provided it is
+    nearly perfect (R^2 >= 1 - R2_MARGIN); anything less, too few points,
+    or a largest error at or below NOISE_FLOOR is inconclusive.
     Returns (label, slope-of-winning-fit).
     """
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(errs, dtype=float)
-    keep = errs > 0.0
+    keep = errs > floor
     ns, errs = ns[keep], errs[keep]
     if len(ns) < MIN_FIT_POINTS or float(np.max(errs)) <= NOISE_FLOOR:
         return "inconclusive", math.nan
@@ -185,9 +244,11 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
     """Solve over an ascending N grid and classify the L2 error decay.
 
     Uses spec.exact (transformed) as truth, or the supplied
-    ReferenceSolution; one failing degree is recorded and skipped.
+    ReferenceSolution, evaluated once per point set that the degrees share
+    (_SharedTruth); one failing degree is recorded and skipped.
     quad_points fixes the error-norm rule size; by default it grows with N
-    (default_quad_points).
+    (default_quad_points). Cells at or below the round-off floors
+    (SweepResult.floor_e, floor_estar) are left out of the fit.
     """
     n_values = list(n_values)
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -202,16 +263,20 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
     else:
         raise ValueError(f"problem {spec.name!r} has no exact solution; supply a reference")
 
+    truth = _SharedTruth(phi, phi_prime)
     rows, failures = [], []
     for n in n_values:
         try:
             sol = solve(assemble(tp, n, lam, alpha_c, beta_c))
-            rows.append(error_report(sol, phi, phi_prime, quad_points))
+            rows.append(error_report(sol, truth.phi, truth.phi_prime, quad_points))
         except (ValueError, RuntimeError) as err:
             failures.append((n, str(err)))
-    label, rate = classify_decay([r.n for r in rows], [r.l2_e for r in rows])
+    # each report evaluated the truth on the grid, so the floors cost nothing
+    floor_e, floor_estar = truth.floors() if rows else (0.0, 0.0)
+    label, rate = classify_decay([r.n for r in rows], [r.l2_e for r in rows], floor_e)
     return SweepResult(problem=spec.name, lam=float(lam), rows=tuple(rows),
-                       rate_class=label, fitted_rate=rate, failures=tuple(failures))
+                       rate_class=label, fitted_rate=rate, failures=tuple(failures),
+                       floor_e=floor_e, floor_estar=floor_estar)
 
 
 CSV_HEADER = "N,L2_e,Linf_e,L2_estar,Linf_estar"

@@ -87,6 +87,29 @@ def _report_lines(rep):
             f"L2_estar={rep.l2_estar:.5e} Linf_estar={rep.linf_estar:.5e}")
 
 
+def _left_out(count):
+    """The note on cells at the round-off floor, left out of a fit or band."""
+    if not count:
+        return ""
+    return f"; {count} cell{'' if count == 1 else 's'} at round-off left out"
+
+
+def _classification(result):
+    """The line naming a sweep's decay verdict, its rate, and the cells at
+    the round-off floor that its fit leaves out."""
+    rate = f"{result.fitted_rate:.3f}" if result.rate_class != "inconclusive" else "n/a"
+    below = sum(not row.l2_e > result.floor_e for row in result.rows)
+    return f"classification: {result.rate_class} (fitted rate {rate}{_left_out(below)})"
+
+
+def _ratio_band(cells, floor):
+    """The ratios computed / benchmark of a table's (norm, N, computed,
+    benchmark) cells that are above the round-off floor, and how many
+    cells are left out."""
+    ratios = [ours / bench_val for _, _, ours, bench_val in cells if ours > floor]
+    return ratios, len(cells) - len(ratios)
+
+
 def run_solve(args):
     spec = _load_spec(args)
     tp = transform(spec)
@@ -133,8 +156,7 @@ def run_sweep(args):
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {out}", file=sys.stderr)
-    rate = f"{result.fitted_rate:.3f}" if result.rate_class != "inconclusive" else "n/a"
-    print(f"classification: {result.rate_class} (fitted rate {rate})")
+    print(_classification(result))
     _check_failures(result)
     return 0
 
@@ -157,8 +179,9 @@ def run_reproduce(args):
                    args.alpha, args.beta, reference=reference, quad_points=args.quad_points)
 
     outputs = []
-    summary = []   # (part, cells of that table: (norm, N, computed, benchmark))
-    for part, fields in (("e", ("l2_e", "linf_e")), ("estar", ("l2_estar", "linf_estar"))):
+    summary = []   # (part, cells of that table: (norm, N, computed, benchmark), floor)
+    for part, fields, floor in (("e", ("l2_e", "linf_e"), result.floor_e),
+                                ("estar", ("l2_estar", "linf_estar"), result.floor_estar)):
         table = result.restricted(bench[part]["n"])
         if table.rows:
             out = os.path.join(args.out or ".", f"{name}_{lam:g}_{part}.csv")
@@ -169,21 +192,21 @@ def run_reproduce(args):
         summary.append((part, [(norm_key, n, getattr(by_n[n], field), bench_val)
                                for norm_key, field in zip(("l2", "linf"), fields)
                                for n, bench_val in zip(bench[part]["n"], bench[part][norm_key])
-                               if n in by_n]))
+                               if n in by_n], floor))
         if part == "e":
-            rate = f"{table.fitted_rate:.3f}" if table.rate_class != "inconclusive" else "n/a"
-            print(f"classification: {table.rate_class} (fitted rate {rate})")
+            print(_classification(table))
 
     for out in outputs:
         print(f"wrote {out}", file=sys.stderr)
     print(f"{'part':<6}{'norm':<6}{'N':>4}  {'computed':>12}  {'benchmark':>12}  {'ratio':>10}")
-    for part, cells in summary:
-        ratios = [ours / bench_val for _, _, ours, bench_val in cells]
-        for (norm_key, n, ours, bench_val), ratio in zip(cells, ratios):
-            print(f"{part:<6}{norm_key:<6}{n:>4}  {ours:>12.5e}  {bench_val:>12.5e}  {ratio:>10.3e}")
-        if ratios:
-            print(f"ratio band {part}: {min(ratios):.3e} to {max(ratios):.3e} "
-                  f"over {len(ratios)} cells")
+    for part, cells, floor in summary:
+        for norm_key, n, ours, bench_val in cells:
+            print(f"{part:<6}{norm_key:<6}{n:>4}  {ours:>12.5e}  {bench_val:>12.5e}  "
+                  f"{ours / bench_val:>10.3e}")
+        band, left_out = _ratio_band(cells, floor)
+        if band:
+            print(f"ratio band {part}: {min(band):.3e} to {max(band):.3e} "
+                  f"over {len(band)} cells{_left_out(left_out)}")
     _check_failures(result)
     return 0
 

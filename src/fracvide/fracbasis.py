@@ -16,6 +16,9 @@ from .specfun import frac_gauss_jacobi
 
 # relative threshold on |z - z_j| for snapping to the Kronecker value
 _NODE_HIT_RTOL = 1e-15
+# the uniform points of every error report's sup norms, shared and read-only
+ERROR_GRID = np.linspace(0.0, 1.0, 1000)
+ERROR_GRID.flags.writeable = False
 # float64 entries in the work array of basis_quadrature (512 KB, which leaves
 # room in a 2 MiB L2 for the block's other operands), or one row if more
 _WORK_ENTRIES = 1 << 16
@@ -258,20 +261,16 @@ def weighted_l2_norm(f, alpha, beta, lam, m_points=200):
     return float(np.sqrt(np.sum(rule.weights * vals * vals)))
 
 
-def sup_norm(f, grid=None):
-    """max |f| over a finite grid (default: 1000 uniform points on [0, 1]).
+def sup_norm(f, grid=ERROR_GRID):
+    """max |f| over a finite grid (default: ERROR_GRID, 1000 uniform points
+    on [0, 1]); a NaN of f gives NaN.
 
     A grid approximation of the true sup; callers that know special points
-    (e.g. collocation nodes) should include them in the grid.
+    (e.g. collocation nodes) should take the larger of this and the max
+    over those points.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 1000)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("evaluation grid must be nonempty")
     return float(np.max(np.abs(sample_values(f, grid))))
 
-
-def default_error_grid(basis, m=1000):
-    """Uniform grid on [0, 1] joined with the collocation nodes."""
-    return np.union1d(np.linspace(0.0, 1.0, m), basis.nodes)

@@ -8,6 +8,7 @@ import fracvide.analysis as analysis
 import fracvide.fracbasis as fracbasis
 from fracvide.analysis import (
     ErrorReport,
+    ReferenceSolution,
     SweepResult,
     classify_decay,
     emit_table,
@@ -18,7 +19,22 @@ from fracvide.analysis import (
 )
 from fracvide.collocate import assemble, solve
 from fracvide.fracbasis import sup_norm, weighted_l2_norm
-from fracvide.problem import builtin, transform
+from fracvide.problem import builtin, parse_problem_config, transform
+
+# the quarter-power problem of perfbench/workloads.py, with its seed-0 constants
+QUARTER_POWER = """
+mu = 1/4
+gamma = 1
+eps = 0.7511
+T = 1
+y0 = 0
+p = 1.1378*cos(t)*t^2
+q = 1.1032*t^2
+K1 = exp(-0.9682*t*s)
+K2 = 1 + 0.9036*tau^2
+exact = t^(5/4)*exp(-t)
+exact_prime = exp(-t)*(5/4*t^(1/4) - t^(5/4))
+"""
 
 
 def test_error_report_zero_for_self_comparison():
@@ -258,8 +274,9 @@ def test_default_error_rule_grows_with_n():
 
 def _old_error_report(sol, phi, phi_prime, alpha_c, beta_c, quad_points):
     """The four figures by the closures error_report used before it shared
-    one basis matrix between e and e*."""
-    grid = analysis.default_error_grid(sol.system.basis)
+    one basis matrix between e and e*, on the uniform grid joined with the
+    collocation nodes."""
+    grid = np.union1d(np.linspace(0.0, 1.0, 1000), sol.system.basis.nodes)
     e = lambda th: phi(th) - sol.evaluate(th)
     estar = lambda th: phi_prime(th) - sol.evaluate_derivative(th)
     return (weighted_l2_norm(e, alpha_c, beta_c, 1.0, quad_points), sup_norm(e, grid),
@@ -290,9 +307,24 @@ def test_error_report_matches_old_closures_bit_for_bit(name, n, lam, alpha_c, be
     assert (rep.l2_e, rep.linf_e, rep.l2_estar, rep.linf_estar) == want
 
 
+def _count_interpolations(monkeypatch):
+    """(basis, number of points) of each interpolation in analysis."""
+    calls = []
+    interpolate = analysis.interpolate
+
+    def counting(basis, values, theta):
+        calls.append((basis, np.size(theta)))
+        return interpolate(basis, values, theta)
+
+    monkeypatch.setattr(analysis, "interpolate", counting)
+    return calls
+
+
 def test_error_report_evaluates_the_basis_once_per_point_set(monkeypatch):
     # one array of barycentric terms on the error rule's nodes and one on
-    # the grid serve both e and e*; both come from fracbasis._bary_terms
+    # the error grid serve both e and e*; both come from fracbasis._bary_terms.
+    # On the collocation nodes the interpolants are u and u*, so no terms
+    # are formed there
     tp = transform(builtin("ex2"))
     sol = solve(assemble(tp, 14, 0.5))
     calls = []
@@ -300,8 +332,13 @@ def test_error_report_evaluates_the_basis_once_per_point_set(monkeypatch):
     monkeypatch.setattr(fracbasis, "_bary_terms",
                         lambda basis, points: calls.append(np.size(points)) or terms(basis, points))
     error_report(sol, tp.phi, tp.phi_prime)
-    grid = analysis.default_error_grid(sol.system.basis)
-    assert calls == [analysis.default_quad_points(14), grid.size]
+    assert calls == [analysis.default_quad_points(14), fracbasis.ERROR_GRID.size]
+    # a sweep over k degrees evaluates the solutions' bases 2k times
+    interpolations = _count_interpolations(monkeypatch)
+    ns = [4, 8, 14]
+    sweep(builtin("ex2"), 0.5, ns)
+    assert [(basis.n, size) for basis, size in interpolations] == [
+        (n, size) for n in ns for size in (200, fracbasis.ERROR_GRID.size)]
 
 
 def test_error_report_peak_memory():
@@ -351,8 +388,65 @@ def test_self_reference_shares_one_basis_evaluation(name, monkeypatch):
         assert ref.phi(t) == sol.evaluate(t) and isinstance(ref.phi(t), float)
         assert ref.phi_prime(t) == sol.evaluate_derivative(t)
     # an error report against the reference: one array of terms for the
-    # reference and one for the solution on each point set
+    # reference and one for the solution on the rule and on the grid, and
+    # one for the reference on the solution's nodes
     calls.clear()
     error_report(low, ref.phi, ref.phi_prime)
-    grid = analysis.default_error_grid(low.system.basis)
-    assert calls == [analysis.default_quad_points(10)] * 2 + [grid.size] * 2
+    grid = fracbasis.ERROR_GRID
+    assert calls == [analysis.default_quad_points(10)] * 2 + [grid.size] * 2 + [11]
+    # a sweep over k degrees evaluates the reference basis 2 + k times: on
+    # the grid and the rule that every degree shares, and on each degree's
+    # nodes; and the solutions' bases 2k times, on the rule and the grid
+    interpolations = _count_interpolations(monkeypatch)
+    ns = [5, 8, 10, 12, 15]
+    sweep(spec, 0.5, ns, reference=ref)
+    ref_basis = sol.system.basis
+    assert [size for basis, size in interpolations if basis is ref_basis] == (
+        [200, grid.size] + [n + 1 for n in ns])
+    assert [(basis.n, size) for basis, size in interpolations if basis is not ref_basis] == [
+        (n, size) for n in ns for size in (200, grid.size)]
+
+
+@pytest.mark.parametrize("name, lam, ns, quad_points", [
+    ("ex1", 0.5, [4, 6, 8, 10, 12], None),
+    ("ex1", 1.0, [40, 48, 52, 60], None),      # a rule of its own from N = 50 up
+    ("ex2", 1 / 3, [2, 5, 10, 11, 13], None),
+    ("ex2", 1.0, [6, 9], 57),
+    ("ex3", 0.5, [7, 9, 10, 11, 13, 15, 17], None),
+    ("ex4", 0.5, [5, 7, 10, 12, 13, 14, 15], None),
+    ("ex5", 0.5, [5, 8, 10, 13, 15], None),
+    ("quarter_power", 0.25, range(4, 17), None),
+])
+def test_sweep_rows_match_standalone_reports_bit_for_bit(name, lam, ns, quad_points):
+    # a sweep evaluates the truth once per shared point set; each row is
+    # still the report of its degree alone
+    spec = parse_problem_config(QUARTER_POWER) if name == "quarter_power" else builtin(name)
+    tp = transform(spec)
+    reference = self_reference(spec, 0.5, 18) if name in ("ex4", "ex5") else None
+    phi, phi_prime = (reference.phi, reference.phi_prime) if reference else (tp.phi, tp.phi_prime)
+    result = sweep(spec, lam, ns, reference=reference, quad_points=quad_points)
+    assert [row.n for row in result.rows] == list(ns)
+    for row in result.rows:
+        alone = error_report(solve(assemble(tp, row.n, lam)), phi, phi_prime, quad_points)
+        assert row == alone
+
+
+def test_a_nan_of_the_truth_reaches_the_sup_norms():
+    # the sup norms join the grid and the nodes; a NaN of the truth on
+    # either part reads NaN, as it did over their union
+    tp = transform(builtin("ex1"))
+    sol = solve(assemble(tp, 8, 0.5))
+    for bad in (0.0, sol.system.basis.nodes[3]):
+        def phi(theta, bad=bad):
+            return np.where(theta == bad, np.nan, tp.phi(theta))
+
+        def phi_prime(theta, bad=bad):
+            return np.where(theta == bad, np.nan, tp.phi_prime(theta))
+
+        reports = [error_report(sol, phi, phi_prime)]
+        truth = ReferenceSolution(phi=phi, phi_prime=phi_prime, lam=0.5, n_ref=100)
+        reports += sweep(builtin("ex1"), 0.5, [6, 8], reference=truth).rows[1:]
+        for rep in reports:
+            assert rep.n == 8
+            assert math.isnan(rep.linf_e) and math.isnan(rep.linf_estar)
+            assert math.isfinite(rep.l2_e) and math.isfinite(rep.l2_estar)

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fracvide
 from fracvide.analysis import emit_table, self_reference, sweep
-from fracvide.cli import main
+from fracvide.analysis import classify_decay
+from fracvide.cli import _ratio_band, main
 from fracvide.collocate import SolverError, assemble, solve
 from fracvide.problem import builtin, transform
 from fracvide.refdata import BENCHMARKS
@@ -171,16 +173,22 @@ def test_reproduce_ex1(tmp_path, capsys):
     assert len(e_csv.read_text().strip().splitlines()) == 6
     assert "ratio" in stdout
     # every computed cell should be within x100 of the benchmark value
+    result = sweep(builtin("ex1"), 0.5, BENCHMARKS["ex1"]["e"]["n"])
+    floors = {"e": result.floor_e, "estar": result.floor_estar}
     ratios = {"e": [], "estar": []}
     for line in stdout.splitlines():
         parts = line.split()
         if parts and parts[0] in ("e", "estar"):
             assert float(parts[-1]) <= 100.0
-            ratios[parts[0]].append(float(parts[-1]))
+            # the N = 12 cells are round-off, and the band leaves them out
+            assert (float(parts[3]) > floors[parts[0]]) == (parts[2] != "12")
+            if parts[2] != "12":
+                ratios[parts[0]].append(float(parts[-1]))
     # after each table, the band of its ratios: e first, then estar
     bands = [line for line in stdout.splitlines() if line.startswith("ratio band")]
-    assert bands == [f"ratio band {part}: {min(r):.3e} to {max(r):.3e} over 10 cells"
-                     for part, r in ratios.items()]
+    assert bands == [f"ratio band {part}: {min(r):.3e} to {max(r):.3e} over 8 cells; "
+                     f"2 cells at round-off left out" for part, r in ratios.items()]
+    assert stdout.splitlines()[0].endswith("; 1 cell at round-off left out)")
     lines = stdout.splitlines()
     assert lines.index(bands[0]) == 12 and lines[-1] == bands[1]
 
@@ -200,6 +208,44 @@ def test_reproduce_ex3_lambda_half(tmp_path, capsys):
     # the derivative table uses its own N grid
     lines = (tmp_path / "ex3_0.5_estar.csv").read_text().strip().splitlines()
     assert lines[1].startswith("7,") and lines[-1].startswith("17,")
+
+
+def _tables(result, bench):
+    """(fit verdict and rate, ratios in the band, cells left out) of each
+    table of a reproduce sweep."""
+    out = []
+    for part, fields, floor in (("e", ("l2_e", "linf_e"), result.floor_e),
+                                ("estar", ("l2_estar", "linf_estar"), result.floor_estar)):
+        table = result.restricted(bench[part]["n"])
+        by_n = {row.n: row for row in table.rows}
+        cells = [(norm_key, n, getattr(by_n[n], field), bench_val)
+                 for norm_key, field in zip(("l2", "linf"), fields)
+                 for n, bench_val in zip(bench[part]["n"], bench[part][norm_key])]
+        out.append(((table.rate_class, table.fitted_rate), _ratio_band(cells, floor)))
+    return out
+
+
+@pytest.mark.parametrize("ulps", [-2, 3])
+def test_round_off_cells_steer_neither_verdict_nor_band(ulps):
+    # ex1's N = 12 cells sit at the rounding floor. Moving them by a few
+    # ulps of the truth's scale (about 1) once moved the fitted rate and the
+    # e* band; left out, they move neither
+    bench = BENCHMARKS["ex1"]
+    result = sweep(builtin("ex1"), bench["lam"], bench["e"]["n"])
+    *rows, last = result.rows
+    assert last.n == 12
+    fields = ("l2_e", "linf_e", "l2_estar", "linf_estar")
+    eps = np.finfo(float).eps
+    moved_last = replace(last, **{f: getattr(last, f) + ulps * eps for f in fields})
+    moved = replace(result, rows=(*rows, moved_last))
+    for row in (last, moved_last):
+        assert row.l2_e < result.floor_e and row.linf_e < result.floor_e
+        assert row.l2_estar < result.floor_estar and row.linf_estar < result.floor_estar
+    assert _tables(moved, bench) == _tables(result, bench)
+    # with every cell fitted, the move shows in the rate
+    ns = [row.n for row in result.rows]
+    assert (classify_decay(ns, [row.l2_e for row in moved.rows])
+            != classify_decay(ns, [row.l2_e for row in result.rows]))
 
 
 def _counting_assemble(monkeypatch):
@@ -242,7 +288,9 @@ def test_reproduce_tables_match_independent_sweeps(name, tmp_path, capsys):
         assert csv.read_bytes() == emit_table(alone, "csv").encode()
         if part == "e":
             rate = f"{alone.fitted_rate:.3f}" if alone.rate_class != "inconclusive" else "n/a"
-            assert stdout.splitlines()[0] == f"classification: {alone.rate_class} (fitted rate {rate})"
+            # ex1's line goes on to name the round-off cell left out of its fit
+            assert stdout.splitlines()[0].startswith(
+                f"classification: {alone.rate_class} (fitted rate {rate}")
 
 
 def _fail_at_8(monkeypatch):
@@ -280,7 +328,8 @@ def test_reproduce_reports_a_failed_degree(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in stderr
     cells = [line.split() for line in stdout.splitlines() if line.split()[0] in ("e", "estar")]
     assert len(cells) == 16 and all(cell[2] != "8" for cell in cells)
-    assert "ratio band e: " in stdout and "over 8 cells" in stdout
+    # the N = 12 cells are round-off, left out of the band
+    assert "ratio band e: " in stdout and "over 6 cells; 2 cells at round-off left out" in stdout
     for part in ("e", "estar"):
         rows = (tmp_path / f"ex1_0.5_{part}.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["4", "6", "10", "12"]

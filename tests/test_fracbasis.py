@@ -12,7 +12,6 @@ from fracvide.fracbasis import (
     basis_matrix,
     basis_quadrature,
     build_basis,
-    default_error_grid,
     eval_basis,
     interpolate,
     lebesgue_constant,
@@ -213,13 +212,6 @@ def test_sup_norm_dense_grid_bound():
 def test_sup_norm_empty_grid():
     with pytest.raises(ValueError):
         sup_norm(lambda t: t, grid=np.array([]))
-
-
-def test_default_error_grid_contains_nodes():
-    b = build_basis(5, -0.5, -0.5, 0.5)
-    grid = default_error_grid(b)
-    assert np.all(np.isin(b.nodes, grid))
-    assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
 def test_basis_is_cached_and_read_only():
