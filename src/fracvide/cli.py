@@ -221,8 +221,6 @@ def build_parser():
     def common(p):
         p.add_argument("--problem", required=True,
                        help="builtin name (ex1..ex5) or problem config file path")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                       help="fractional exponent in (0, 1] (default 0.5)")
         p.add_argument("--alpha", type=float, default=-0.5,
                        help="collocation Jacobi exponent alpha (default -0.5)")
         p.add_argument("--beta", type=float, default=-0.5,
@@ -231,17 +229,23 @@ def build_parser():
         p.add_argument("--quad-points", type=_int_at_least(1, "positive"), default=None,
                        help="points for the error-norm quadrature "
                             "(default max(200, 4(N+1)))")
+
+    def discretization(p):
+        """The flags of solve and sweep; reproduce takes its benchmark's."""
+        common(p)
+        p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+                       help="fractional exponent in (0, 1] (default 0.5)")
         p.add_argument("--gamma-override", type=float, default=None,
                        help="override the ex1 exponent gamma (default 1)")
 
     p_solve = sub.add_parser("solve", help="solve one (N, lambda) discretization")
-    common(p_solve)
+    discretization(p_solve)
     p_solve.add_argument("--n", type=_int_at_least(0, "nonnegative"), required=True,
                          help="polynomial degree N")
     p_solve.set_defaults(func=run_solve)
 
     p_sweep = sub.add_parser("sweep", help="convergence sweep over an N range")
-    common(p_sweep)
+    discretization(p_sweep)
     p_sweep.add_argument("--n", required=True, help="N range start:step:stop")
     p_sweep.add_argument("--format", choices=("csv", "text"), default="csv")
     p_sweep.add_argument("--ref-lambda", type=float, default=0.5,

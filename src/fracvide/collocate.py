@@ -46,8 +46,6 @@ def singular_ratio(xi, lam, mu):
     xi = np.asarray(xi, dtype=float)
     if np.any((xi <= 0.0) | (xi >= 1.0)):
         raise ValueError("singular ratio is defined for xi in the open interval (0, 1)")
-    if lam == 1.0:
-        return np.ones_like(xi)
     return np.exp(-mu * (np.log1p(-(xi ** (1.0 / lam))) - np.log1p(-xi)))
 
 
@@ -94,7 +92,7 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5):
     # the kernel rule in the xi variable: weight (1-xi)^-mu xi^((mu+gam)/lam - 1)
     kernel_rule = frac_gauss_jacobi(n + 1, -mu, (mu + gam) / lam - 1.0, 1.0)
     xi, w = kernel_rule.nodes, kernel_rule.weights
-    s = xi ** (1.0 / lam) if lam != 1.0 else xi            # eta_i(xi) = theta_i * s
+    s = xi ** (1.0 / lam)            # eta_i(xi) = theta_i * s
     ratio = singular_ratio(xi, lam, mu)
 
     col = theta[:, None]
@@ -131,7 +129,7 @@ def antiderivative_matrix(n, lam, alpha_c, beta_c):
     # the rule in the xi variable: weight xi**(1/lam - 1)
     rule = frac_gauss_jacobi(n + 1, 0.0, 1.0 / lam - 1.0, 1.0)
     xih, wh = rule.nodes, rule.weights
-    sh = xih ** (1.0 / lam) if lam != 1.0 else xih
+    sh = xih ** (1.0 / lam)
     col = basis.nodes[:, None]
     E = basis_quadrature(basis, col * sh, (col / lam) * wh)
     E.setflags(write=False)

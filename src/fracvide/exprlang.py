@@ -4,9 +4,10 @@ Grammar (see docs/expression-grammar.md): numbers, named variables,
 unary minus, binary + - * / ^ with ^ right-associative, and the function
 calls exp, ln, sin, cos, sqrt, pow, beta, abs. One regular expression
 splits ASCII text into tokens, and precedence climbing parses them.
-An expression is compiled once, over named variables and constants: each
-constant (pi, e and any the caller passes) becomes its number, any other
-name that is not a variable is rejected, and the subexpressions free of
+An expression is compiled once, in one walk of its tree, over named
+variables and constants: each constant (pi, e and any the caller passes)
+becomes its number, the first unknown name, unknown function or wrong
+arity in left-to-right order is rejected, and the subexpressions free of
 variables are evaluated then. The rest becomes nested numpy closures that
 evaluate elementwise on scalars or arrays in strict IEEE double
 arithmetic, and raise on domain violations, naming the first value at
@@ -280,17 +281,6 @@ _BINARY = {
 }
 
 
-def _function(call):
-    """The implementation of a Call; raises on an unknown name or a wrong arity."""
-    try:
-        arity, fn = _FUNCTIONS[call.name]
-    except KeyError:
-        raise ExprEvalError(f"unknown function {call.name!r}") from None
-    if len(call.args) != arity:
-        raise ExprEvalError(f"{call.name} takes {arity} argument(s), got {len(call.args)}")
-    return fn
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _run(compiled, values):
     """compiled(values); overflow and invalid results are reported by the
@@ -298,92 +288,80 @@ def _run(compiled, values):
     return compiled(values)
 
 
-def _fold(expr, constants):
-    """expr with each constant replaced by a Num, and then each subtree
-    that holds no variable replaced by its value.
-
-    Such a subtree is evaluated once, here, by the same operations and
-    checks as at evaluation, so its value has the same bits. One whose
-    evaluation raises is kept, to raise at evaluation. An unknown function
-    or a wrong arity raises here, in the order of the tree.
-    """
-    if isinstance(expr, Var):
-        return Num(constants[expr.name]) if expr.name in constants else expr
-    if isinstance(expr, Neg):
-        expr = Neg(_fold(expr.operand, constants))
-        operands = (expr.operand,)
-    elif isinstance(expr, BinOp):
-        expr = BinOp(expr.op, _fold(expr.left, constants), _fold(expr.right, constants))
-        operands = (expr.left, expr.right)
-    elif isinstance(expr, Call):
-        _function(expr)
-        expr = Call(expr.name, tuple(_fold(a, constants) for a in expr.args))
-        operands = expr.args
-    else:
-        return expr
-    if not all(isinstance(a, Num) for a in operands):
-        return expr
-    try:
-        value = _run(_closure(expr, ()), ())
-    except ValueError:
-        return expr
-    return Num(float(value))
+def _constant(value):
+    """(closure, value) of a node whose value is the number value."""
+    return (lambda values: value), value
 
 
-def _closure(expr, names):
-    """Turn a folded Expr into a closure of the values of the variables names.
+def _closure(expr, names, constants):
+    """(closure, value) of expr over the variables names, in one walk.
 
-    Every operation is a numpy ufunc, so the closure evaluates elementwise on
-    scalars and arrays alike, and an element gets the same bits whether it
-    is bound alone or in an array. Domain checks test the whole array and
-    name the first value at fault. A name that is not a variable raises.
+    A name in constants becomes its number; another name that is not a
+    variable, an unknown function or a wrong arity raises, in tree order.
+    Every operation is a numpy ufunc, so the closure evaluates elementwise
+    on scalars and arrays alike, with the same bits for an element bound
+    alone or in an array. Domain checks name the first value at fault.
+
+    value is the node's number when every operand has one: the node is
+    evaluated once, here, by the same operations and checks as at
+    evaluation, so it has the same bits. It is None for a node with a
+    variable, or whose evaluation raises, so that it raises at evaluation.
     """
     if isinstance(expr, Num):
-        value = expr.value
-        return lambda values: value
+        return _constant(expr.value)
     if isinstance(expr, Var):
+        if expr.name in constants:
+            return _constant(constants[expr.name])
         if expr.name not in names:
             raise ExprEvalError(f"unbound variable {expr.name!r}")
         index = names.index(expr.name)
-        return lambda values: values[index]
+        return (lambda values: values[index]), None
     if isinstance(expr, Neg):
-        operand = _closure(expr.operand, names)
-        return lambda values: np.negative(operand(values))
-    if isinstance(expr, BinOp):
-        if expr.op == "^":
-            return _power_closure(expr.left, expr.right, names)
-        op = _BINARY[expr.op]
-        left, right = _closure(expr.left, names), _closure(expr.right, names)
-        return lambda values: op(left(values), right(values))
-    if isinstance(expr, Call):
-        fn = _function(expr)
-        if fn is _power:
-            return _power_closure(*expr.args, names)
-        args = tuple(_closure(a, names) for a in expr.args)
-        return lambda values: fn(*[a(values) for a in args])
-    raise TypeError(f"not an expression node: {expr!r}")
+        fn, operands = np.negative, (expr.operand,)
+    elif isinstance(expr, BinOp):
+        fn = _power if expr.op == "^" else _BINARY[expr.op]
+        operands = (expr.left, expr.right)
+    elif isinstance(expr, Call):
+        if expr.name not in _FUNCTIONS:
+            raise ExprEvalError(f"unknown function {expr.name!r}")
+        arity, fn = _FUNCTIONS[expr.name]
+        if len(expr.args) != arity:
+            raise ExprEvalError(f"{expr.name} takes {arity} argument(s), got {len(expr.args)}")
+        operands = expr.args
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    compiled = [_closure(a, names, constants) for a in operands]
+    closure = _apply(fn, compiled)
+    if any(value is None for _, value in compiled):
+        return closure, None
+    try:
+        return _constant(float(_run(closure, ())))
+    except ValueError:
+        return closure, None
 
 
-def _power_closure(base, exponent, names):
-    """The closure of base^exponent, specialised when the exponent is a number."""
-    base = _closure(base, names)
-    if isinstance(exponent, Num):
-        power = _constant_power(exponent.value)
-        return lambda values: power(base(values))
-    exponent = _closure(exponent, names)
-    return lambda values: _power(base(values), exponent(values))
+def _apply(fn, compiled):
+    """The closure of fn applied to the compiled operands, each called
+    directly; ^ with a numeric exponent tests only its base."""
+    if len(compiled) == 1:
+        (operand, _), = compiled
+        return lambda values: fn(operand(values))
+    (left, _), (right, exponent) = compiled
+    if fn is _power and exponent is not None:
+        power = _constant_power(exponent)
+        return lambda values: power(left(values))
+    return lambda values: fn(left(values), right(values))
 
 
 def _compile(expr, variables, constants):
-    """(folded tree, closure) of expr over the positional variables.
+    """(closure, value) of expr over the positional variables.
 
     pi and e are the default constants; a passed constant overrides them,
     and a variable of the same name shadows both."""
     names = tuple(variables)
     bound = {name: float(value) for name, value in {**_CONSTANTS, **(constants or {})}.items()
              if name not in names}
-    tree = _fold(expr, bound)
-    return tree, _closure(tree, names)
+    return _closure(expr, names, bound)
 
 
 def evaluate(expr, bindings=None):
@@ -392,7 +370,7 @@ def evaluate(expr, bindings=None):
     Bindings may be scalars or arrays; the result is a float when it is a
     single value and an array otherwise."""
     bindings = bindings or {}
-    _, compiled = _compile(expr, bindings, None)
+    compiled, _ = _compile(expr, bindings, None)
     values = [np.asarray(value, dtype=float) for value in bindings.values()]
     out = np.asarray(_run(compiled, values), dtype=float)
     return float(out) if out.ndim == 0 else out
@@ -437,8 +415,9 @@ def compile_function(source, variables, constants=None):
     array of their broadcast shape.
     """
     names = tuple(variables)
-    tree, compiled = _compile(parse(source), names, constants)
-    # any other root is a ufunc result, a new array; a variable is its binding
+    tree = parse(source)
+    compiled, _ = _compile(tree, names, constants)
+    # only a root that is a name can return a binding itself; any other is new
     fresh = not isinstance(tree, Var)
 
     def fn(*values):

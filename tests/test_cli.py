@@ -439,6 +439,27 @@ def test_config_with_a_non_ascii_digit_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--lambda", "0.9"), ("--gamma-override", "3")])
+def test_reproduce_rejects_the_discretization_flags(flag, value, tmp_path, capsys, monkeypatch):
+    # reproduce takes lambda and gamma from its benchmark, so it refuses both
+    import fracvide.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"reproduce ran with {flag}")
+
+    for name in ("sweep", "self_reference"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reproduce", "--problem", "ex1", flag, value, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    for command in (["solve", "--n", "4"], ["sweep", "--n", "4:2:8"]):
+        args = cli.build_parser().parse_args([*command, "--problem", "ex1", flag, value])
+        assert (args.lam, args.gamma_override) == \
+            ((0.9, None) if flag == "--lambda" else (0.5, 3.0))
+
+
 def test_gamma_override_only_ex1(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(CONFIG)

@@ -5,6 +5,7 @@ import numpy as np
 import oracle_exprlang
 import pytest
 
+from fracvide import exprlang
 from fracvide.exprlang import (
     BinOp,
     Call,
@@ -321,11 +322,33 @@ def test_a_failing_constant_raises_at_call_time(source, message):
         f(np.array([0.5, 1.0]))
 
 
+def test_a_constant_subexpression_is_evaluated_once_at_compile_time(monkeypatch):
+    calls = []
+    arity, exp = exprlang._FUNCTIONS["exp"]
+
+    def counting(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setitem(exprlang._FUNCTIONS, "exp", (arity, counting))
+    f = compile_function("exp(2)*t", ("t",))
+    t = np.array([0.5, 1.0, 2.0])
+    for _ in range(3):
+        assert f(t).tolist() == (np.exp(2.0) * t).tolist()
+    assert calls == [2.0]
+
+
 def test_unknown_function_is_named_at_compile_time_in_tree_order():
     with pytest.raises(ExprEvalError, match="^unknown function 'sinh'$"):
         compile_function("sinh(foo(1)) + t", ("t",))
     with pytest.raises(ExprEvalError, match=r"^pow takes 2 argument\(s\), got 1$"):
         compile_function("pow(cosh(2))", ("t",))
+    # with mixed faults, the first in left-to-right order is named
+    for source in ("tau + sinh(1)", "t*tau + sinh(t)"):
+        with pytest.raises(ExprEvalError, match="^unbound variable 'tau'$"):
+            compile_function(source, ("t",))
+    with pytest.raises(ExprEvalError, match="^unknown function 'sinh'$"):
+        compile_function("sinh(t) + tau", ("t",))
 
 
 def test_bindings_override_pi_and_e():
