@@ -3,15 +3,18 @@
 Errors are reported in the sup norm over the error grid and the
 collocation nodes and in the weighted L2 norm with the collocation weight
 (exponents alpha_c, beta_c, plain variable), for both the solution
-interpolant and the separate derivative interpolant. Every degree of a
-sweep shares the error grid and, up to N = 49 or under a fixed rule size,
-the error rule, so a sweep evaluates the truth (exact phi and phi', or a
-self-reference) once on each of them and at each degree only on that
-degree's nodes. A sweep labels the decay exponential or algebraic by
-comparing linear fits of log(err) against N and against log N; the better
-fit wins provided its R^2 is within 0.02 of a perfect fit, otherwise the
-result is inconclusive. Cells at the rounding floor of the truth's scale
-are left out of the fit.
+interpolant and the separate derivative interpolant. Each pair of
+functions measured together (the interpolants phi_N and phi*_N, a
+self-reference's phi and phi', a sweep's truth) is evaluated once per point
+set and keeps its values on the latest three sets, found by value. One
+report visits three: the error rule, the error grid and the degree's
+nodes. Every degree of a sweep shares the grid and, up to N = 49 or under
+a fixed rule size, the rule, so a sweep evaluates the truth once on each of
+them and at each degree only on that degree's nodes. A sweep labels the
+decay exponential or algebraic by comparing linear fits of log(err)
+against N and against log N; the better fit wins provided its R^2 is
+within 0.02 of a perfect fit, otherwise the result is inconclusive.
+Cells at the rounding floor of the truth's scale are left out of the fit.
 """
 
 import math
@@ -30,6 +33,9 @@ NOISE_FLOOR = 1e-11
 # max |phi'| on the error grid) is round-off
 ROUND_OFF = 100 * np.finfo(float).eps
 REFERENCE_GAP = 3  # a reference must exceed every compared N by at least this
+# point sets whose values a kept pair holds: one report visits three, the
+# error rule, ERROR_GRID and the degree's nodes
+KEPT_POINT_SETS = 3
 
 
 @dataclass(frozen=True)
@@ -84,20 +90,23 @@ def error_report(sol, exact_phi, exact_phi_prime, quad_points=None):
     assembled with. Each sup norm is the larger of two maxima: over the
     fixed fracbasis.ERROR_GRID, and over the collocation nodes, where phi_N
     and phi*_N are u and u* exactly. So the solution is interpolated on the
-    rule and the grid only, and the truth is evaluated on the rule, the
-    grid and the nodes, once each when phi and phi' share their work per
-    point set (as a self-reference does). A sweep hands in a truth that
-    keeps its values on the grid and on each rule, which its degrees share.
+    rule and the grid only, phi_N and phi*_N together from one basis
+    evaluation per point set (_kept_pair), and the truth is evaluated on
+    the rule, the grid and the nodes, once each when phi and phi' share a
+    kept pair too, as a self-reference and a sweep's truth do.
     """
     system = sol.system
     if quad_points is None:
         quad_points = default_quad_points(system.n)
-    e, estar = _error_functions(sol, exact_phi, exact_phi_prime)
+    basis, coeffs = system.basis, np.stack([sol.u, sol.u_star])
+    phi_n, phi_star_n = _kept_pair(lambda theta: interpolate(basis, coeffs, theta))
+    e = lambda theta: exact_phi(theta) - phi_n(theta)
+    estar = lambda theta: exact_phi_prime(theta) - phi_star_n(theta)
     # e and e* in turn on each point set, so that they share its barycentric terms
     l2_e = weighted_l2_norm(e, system.alpha_c, system.beta_c, 1.0, quad_points)
     l2_estar = weighted_l2_norm(estar, system.alpha_c, system.beta_c, 1.0, quad_points)
     grid_e, grid_estar = sup_norm(e, ERROR_GRID), sup_norm(estar, ERROR_GRID)
-    nodes = system.basis.nodes
+    nodes = basis.nodes
     nodes_e = sup_norm(lambda theta: exact_phi(theta) - sol.u, nodes)
     nodes_estar = sup_norm(lambda theta: exact_phi_prime(theta) - sol.u_star, nodes)
     # np.maximum, unlike max, keeps a NaN of either part
@@ -106,70 +115,30 @@ def error_report(sol, exact_phi, exact_phi_prime, quad_points=None):
                        linf_estar=float(np.maximum(grid_estar, nodes_estar)))
 
 
-def _error_functions(sol, exact_phi, exact_phi_prime):
-    """e = phi - phi_N and e* = phi' - phi*_N as functions of theta."""
-    interpolants = _latest_interpolants(sol)
-    return (lambda theta: exact_phi(theta) - interpolants(theta)[0],
-            lambda theta: exact_phi_prime(theta) - interpolants(theta)[1])
+def _kept_pair(both):
+    """The two functions of both(theta) = (f(theta), g(theta)), which keep
+    the pairs of the latest KEPT_POINT_SETS point sets.
 
-
-def _latest_interpolants(sol):
-    """theta -> (phi_N(theta), phi*_N(theta)), stacked.
-
-    phi_N and phi*_N are interpolated together, from one array of
-    barycentric terms, and kept for the latest points, so taking one and
-    then the other on the same points evaluates the basis there once. The
-    kept values are read-only, since each call on those points hands out
-    the same array.
+    A point set is found by value, so an array changed in place is a new
+    set; the latest used is kept longest. The kept values are read-only,
+    since each call on those points hands out the same arrays.
     """
-    coeffs = np.stack([sol.u, sol.u_star])
-    latest = [None, None]                     # points, interpolants there
+    kept = []                                 # (points, pair), latest used last
 
-    def interpolants(theta):
-        if latest[0] is None or not np.array_equal(latest[0], theta):
-            values = interpolate(sol.system.basis, coeffs, theta)
-            values.flags.writeable = False
-            latest[:] = np.array(theta), values
-        return latest[1]
-
-    return interpolants
-
-
-class _SharedTruth:
-    """phi and phi' for every degree of one sweep.
-
-    Called on an array of points, phi or phi_prime evaluates both there and
-    keeps the values, read-only; called again on the same array object,
-    either hands out the kept values. The degrees of a sweep share the
-    error grid and each error rule (rules are cached, so one size is one
-    array), so the truth is evaluated there once per sweep, and on each
-    degree's own nodes once.
-    """
-
-    def __init__(self, phi, phi_prime):
-        self._truth = (phi, phi_prime)
-        self._kept = []                     # (points, (phi values, phi' values))
-
-    def _values(self, theta):
-        for points, values in self._kept:
-            if points is theta:
+    def pair(theta):
+        for i, (points, values) in enumerate(kept):
+            if np.array_equal(points, theta):
+                kept.append(kept.pop(i))
                 return values
-        values = tuple(np.asarray(f(theta)) for f in self._truth)
+        values = tuple(both(theta))
         for v in values:
-            v.flags.writeable = False
-        self._kept.append((theta, values))
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+        kept.append((np.array(theta), values))
+        del kept[:-KEPT_POINT_SETS]
         return values
 
-    def phi(self, theta):
-        return self._values(theta)[0]
-
-    def phi_prime(self, theta):
-        return self._values(theta)[1]
-
-    def floors(self):
-        """ROUND_OFF times the largest finite |phi| and |phi'| on the error grid."""
-        return tuple(ROUND_OFF * float(np.fmax.reduce(np.abs(np.ravel(v))))
-                     for v in self._values(ERROR_GRID))
+    return (lambda theta: pair(theta)[0]), (lambda theta: pair(theta)[1])
 
 
 @dataclass(frozen=True)
@@ -193,14 +162,14 @@ def self_reference(spec, lambda_ref, n_ref, alpha_c=-0.5, beta_c=-0.5):
     exact solution for problems without a closed form.
 
     phi and phi_prime give sol.evaluate and sol.evaluate_derivative bit for
-    bit; they share one basis evaluation per point set, so an error report
-    taking both on the same points evaluates the reference basis once.
+    bit; they are the kept pair (_kept_pair) of one basis evaluation per
+    point set, so an error report taking both on the same points evaluates
+    the reference basis once.
     """
     sol = solve(assemble(transform(spec), n_ref, lambda_ref, alpha_c, beta_c))
-    interpolants = _latest_interpolants(sol)
-    return ReferenceSolution(phi=lambda theta: interpolants(theta)[0],
-                             phi_prime=lambda theta: interpolants(theta)[1],
-                             lam=lambda_ref, n_ref=n_ref)
+    basis, coeffs = sol.system.basis, np.stack([sol.u, sol.u_star])
+    phi, phi_prime = _kept_pair(lambda theta: interpolate(basis, coeffs, theta))
+    return ReferenceSolution(phi=phi, phi_prime=phi_prime, lam=lambda_ref, n_ref=n_ref)
 
 
 def classify_decay(ns, errs, floor=0.0):
@@ -244,8 +213,10 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
     """Solve over an ascending N grid and classify the L2 error decay.
 
     Uses spec.exact (transformed) as truth, or the supplied
-    ReferenceSolution, evaluated once per point set that the degrees share
-    (_SharedTruth); one failing degree is recorded and skipped.
+    ReferenceSolution, either wrapped in one kept pair (_kept_pair): the
+    degrees share the error grid and, while their rule size is the same,
+    the error rule, so the truth is evaluated there once per sweep and on
+    each degree's nodes once. One failing degree is recorded and skipped.
     quad_points fixes the error-norm rule size; by default it grows with N
     (default_quad_points). Cells at or below the round-off floors
     (SweepResult.floor_e, floor_estar) are left out of the fit.
@@ -257,22 +228,24 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
     if reference is not None:
         for n in n_values:
             reference.check_comparable(n)
-        phi, phi_prime = reference.phi, reference.phi_prime
+        truth = reference.phi, reference.phi_prime
     elif tp.phi is not None and tp.phi_prime is not None:
-        phi, phi_prime = tp.phi, tp.phi_prime
+        truth = tp.phi, tp.phi_prime
     else:
         raise ValueError(f"problem {spec.name!r} has no exact solution; supply a reference")
 
-    truth = _SharedTruth(phi, phi_prime)
+    phi, phi_prime = _kept_pair(lambda theta: (truth[0](theta), truth[1](theta)))
     rows, failures = [], []
     for n in n_values:
         try:
             sol = solve(assemble(tp, n, lam, alpha_c, beta_c))
-            rows.append(error_report(sol, truth.phi, truth.phi_prime, quad_points))
+            rows.append(error_report(sol, phi, phi_prime, quad_points))
         except (ValueError, RuntimeError) as err:
             failures.append((n, str(err)))
-    # each report evaluated the truth on the grid, so the floors cost nothing
-    floor_e, floor_estar = truth.floors() if rows else (0.0, 0.0)
+    # ROUND_OFF times the largest finite |phi| and |phi'| on the grid, where
+    # the last report left the truth kept
+    floor_e, floor_estar = ((ROUND_OFF * float(np.fmax.reduce(np.abs(np.ravel(f(ERROR_GRID)))))
+                             for f in (phi, phi_prime)) if rows else (0.0, 0.0))
     label, rate = classify_decay([r.n for r in rows], [r.l2_e for r in rows], floor_e)
     return SweepResult(problem=spec.name, lam=float(lam), rows=tuple(rows),
                        rate_class=label, fitted_rate=rate, failures=tuple(failures),

@@ -61,6 +61,16 @@ def _int_at_least(least, kind):
     return parse
 
 
+def _lambda(text):
+    """argparse type of a fractional exponent: a number in (0, 1], so not NaN."""
+    try:
+        if 0.0 < float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+
+
 def _check_output_dir(args):
     """Fail before any solve when the directory that output goes to is missing:
     --out itself for reproduce, the parent of the --out file otherwise."""
@@ -233,7 +243,7 @@ def build_parser():
     def discretization(p):
         """The flags of solve and sweep; reproduce takes its benchmark's."""
         common(p)
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+        p.add_argument("--lambda", dest="lam", type=_lambda, default=0.5,
                        help="fractional exponent in (0, 1] (default 0.5)")
         p.add_argument("--gamma-override", type=float, default=None,
                        help="override the ex1 exponent gamma (default 1)")
@@ -248,7 +258,7 @@ def build_parser():
     discretization(p_sweep)
     p_sweep.add_argument("--n", required=True, help="N range start:step:stop")
     p_sweep.add_argument("--format", choices=("csv", "text"), default="csv")
-    p_sweep.add_argument("--ref-lambda", type=float, default=0.5,
+    p_sweep.add_argument("--ref-lambda", type=_lambda, default=0.5,
                          help="reference lambda when no exact solution exists")
     p_sweep.add_argument("--ref-n", type=_int_at_least(0, "nonnegative"), default=18,
                          help="reference degree when no exact solution exists")

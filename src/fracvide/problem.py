@@ -311,9 +311,10 @@ def parse_problem_config(text, name="config"):
 
 
 def load_problem(path):
-    """Read a problem config file; the file stem becomes the problem name."""
+    """Read a problem config file, in UTF-8 with or without a byte-order
+    mark; the file stem becomes the problem name."""
     import os
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     return parse_problem_config(text, name=os.path.splitext(os.path.basename(path))[0])

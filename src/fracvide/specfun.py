@@ -94,7 +94,9 @@ def gauss_jacobi(n_points, alpha, beta):
     is built once per process. Either way the rule is exact for polynomials
     of degree <= 2*n_points - 1.
 
-    Returns (nodes, weights) as ascending float arrays.
+    Returns (nodes, weights) as ascending float arrays. Raises ValueError
+    naming alpha and beta when the zeroth moment exceeds a double (beta
+    above about 1030 at alpha = -1/2).
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -104,8 +106,12 @@ def gauss_jacobi(n_points, alpha, beta):
     if alpha == beta == -0.5:
         k = np.arange(1 - n_points, n_points, 2, dtype=float)
         return np.sin(k * (math.pi / (2 * n_points))), np.full(n_points, math.pi / n_points)
-    mu0 = math.exp((alpha + beta + 1) * math.log(2.0) + math.lgamma(alpha + 1)
-                   + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2))
+    try:
+        mu0 = math.exp((alpha + beta + 1) * math.log(2.0) + math.lgamma(alpha + 1)
+                       + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2))
+    except OverflowError:
+        raise ValueError("the zeroth moment of the Jacobi weight exceeds a double at "
+                         f"alpha = {alpha}, beta = {beta}") from None
     diag, off = _jacobi_recurrence(n_points, alpha, beta)
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = mu0 * vecs[0, :] ** 2

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -379,9 +380,9 @@ def test_self_reference_shares_one_basis_evaluation(name, monkeypatch):
         phi, phi_prime = ref.phi(theta), ref.phi_prime(theta)
         assert phi.tobytes() == sol.evaluate(theta).tobytes()
         assert phi_prime.tobytes() == sol.evaluate_derivative(theta).tobytes()
-    # each switch of point set evaluates the reference basis once; the
-    # evaluate calls above add one each
-    assert calls == [points.size] * 3 + [nodes.size] * 3 + [points.size] * 3
+    # each new point set evaluates the reference basis once, and the third
+    # call finds points still kept; the evaluate calls above add one each
+    assert calls == [points.size] * 3 + [nodes.size] * 3 + [points.size] * 2
     with pytest.raises(ValueError):
         ref.phi(points)[0] = 1.0
     for t in (0.0, 1.0, 0.3, float(nodes[5]), 1e-9):
@@ -394,17 +395,57 @@ def test_self_reference_shares_one_basis_evaluation(name, monkeypatch):
     error_report(low, ref.phi, ref.phi_prime)
     grid = fracbasis.ERROR_GRID
     assert calls == [analysis.default_quad_points(10)] * 2 + [grid.size] * 2 + [11]
-    # a sweep over k degrees evaluates the reference basis 2 + k times: on
-    # the grid and the rule that every degree shares, and on each degree's
-    # nodes; and the solutions' bases 2k times, on the rule and the grid
+    # a sweep over k degrees evaluates the reference basis only on each
+    # degree's nodes: the rule that every degree shares and the grid are
+    # still kept from the report above; and the solutions' bases 2k times,
+    # on the rule and the grid
     interpolations = _count_interpolations(monkeypatch)
     ns = [5, 8, 10, 12, 15]
     sweep(spec, 0.5, ns, reference=ref)
     ref_basis = sol.system.basis
-    assert [size for basis, size in interpolations if basis is ref_basis] == (
-        [200, grid.size] + [n + 1 for n in ns])
+    assert [size for basis, size in interpolations if basis is ref_basis] == [n + 1 for n in ns]
     assert [(basis.n, size) for basis, size in interpolations if basis is not ref_basis] == [
         (n, size) for n in ns for size in (200, grid.size)]
+
+
+def test_a_sweep_evaluates_the_truth_once_per_point_set_when_each_degree_has_its_own_rule():
+    # from N = 50 up each degree has a rule of its own (4(N+1) > 200 points);
+    # the kept rule and nodes of one degree give way to the next one's, and
+    # the grid, which every degree visits, stays kept to the floors
+    calls = []
+
+    def counting(f, which):
+        return lambda t: calls.append((which, np.size(t))) or f(t)
+
+    spec = builtin("ex1")
+    spec = replace(spec, exact=counting(spec.exact, "phi"),
+                   exact_prime=counting(spec.exact_prime, "phi'"))
+    ns = [49, 50, 51, 53]
+    result = sweep(spec, 1.0, ns)
+    assert [row.n for row in result.rows] == ns and result.floor_e > 0.0
+    sizes = [analysis.default_quad_points(n) for n in ns]
+    assert len(set(sizes)) == len(ns)
+    grid = fracbasis.ERROR_GRID.size
+    want = []
+    for i, (n, m) in enumerate(zip(ns, sizes)):
+        for size in [m] + [grid] * (i == 0) + [n + 1]:
+            want += [("phi", size), ("phi'", size)]
+    assert calls == want
+
+
+def test_a_reference_evaluates_an_array_changed_in_place_afresh():
+    # the kept point sets are found by value, so the same array object
+    # holding new points gives the values there
+    spec = builtin("ex4")
+    ref = self_reference(spec, 0.5, 18)
+    sol = solve(assemble(transform(spec), 18, 0.5))
+    theta = np.linspace(0.0, 1.0, 11)
+    before = ref.phi(theta).copy()
+    ref.phi_prime(theta)
+    theta[1:] **= 2
+    assert ref.phi(theta).tobytes() == sol.evaluate(theta).tobytes()
+    assert ref.phi_prime(theta).tobytes() == sol.evaluate_derivative(theta).tobytes()
+    assert not np.array_equal(ref.phi(theta), before)
 
 
 @pytest.mark.parametrize("name, lam, ns, quad_points", [

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from fracvide.cli import _ratio_band, main
 from fracvide.collocate import SolverError, assemble, solve
 from fracvide.problem import builtin, transform
 from fracvide.refdata import BENCHMARKS
+from test_analysis import QUARTER_POWER
 
 CONFIG = """
 mu = 1/2
@@ -335,14 +337,20 @@ def test_reproduce_reports_a_failed_degree(tmp_path, capsys, monkeypatch):
         assert [row.split(",")[0] for row in rows[1:]] == ["4", "6", "10", "12"]
 
 
-def test_sweep_where_every_degree_fails_names_the_cause(tmp_path, capsys):
+def test_sweep_where_every_degree_fails_names_the_cause(tmp_path, capsys, monkeypatch):
+    import fracvide.analysis as analysis
+
+    def fail(tp, n, *args, **kwargs):
+        raise SolverError(f"injected failure at n = {n}")
+
+    monkeypatch.setattr(analysis, "assemble", fail)
     out = tmp_path / "sweep.csv"
-    code, _, stderr = run(["sweep", "--problem", "ex1", "--lambda", "0",
+    code, _, stderr = run(["sweep", "--problem", "ex1", "--lambda", "0.5",
                            "--n", "4:2:8", "--out", str(out)], capsys)
     assert code == 1
     lines = stderr.splitlines()
     for n in (4, 6, 8):
-        assert f"n={n} failed: lam must lie in (0, 1], got 0.0" in lines
+        assert f"n={n} failed: injected failure at n = {n}" in lines
     assert lines[-1] == "error: ex1: failed at n = 4, 6, 8; their rows are left out"
     assert "empty sweep result" not in stderr
     assert not out.exists()
@@ -391,6 +399,69 @@ def test_degrees_must_be_nonnegative_before_any_solve(argv, flag, capsys, monkey
     stderr = capsys.readouterr().err
     assert f"argument {flag}: must be a nonnegative integer, got '{argv[-1]}'" in stderr
     assert "solving reference" not in stderr
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--problem", "ex1", "--n", "4", "--lambda", "0"], "--lambda"),
+    (["sweep", "--problem", "ex1", "--n", "4:2:8", "--lambda", "nan"], "--lambda"),
+    (["sweep", "--problem", "ex1", "--n", "4:2:8", "--lambda", "1.5"], "--lambda"),
+    (["sweep", "--problem", "ex1", "--n", "4:2:8", "--lambda", "half"], "--lambda"),
+    (["sweep", "--problem", "ex4", "--n", "4:2:8", "--ref-lambda", "2"], "--ref-lambda"),
+    (["sweep", "--problem", "ex4", "--n", "4:2:8", "--ref-lambda", "-0.5"], "--ref-lambda"),
+])
+def test_lambdas_must_lie_in_the_unit_interval_before_any_solve(argv, flag, capsys,
+                                                                monkeypatch):
+    import fracvide.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"solve ran before {flag} was checked")
+
+    for name in ("assemble", "sweep", "self_reference"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"argument {flag}: must be a number in (0, 1], got '{argv[-1]}'" in stderr
+    assert "solving reference" not in stderr
+
+
+def test_a_jacobi_parameter_too_large_for_a_double_is_an_error_line(tmp_path, capsys):
+    # at lambda = 1e-3, ex1's kernel rule has beta = (mu + gamma)/lambda - 1
+    # = 1499, whose zeroth moment overflows; gamma = 2000 does the same for
+    # the rule of a manufactured forcing (beta = mu + gamma - 1)
+    cause = ("the zeroth moment of the Jacobi weight exceeds a double at "
+             "alpha = -0.5, beta = {}")
+    code, stdout, stderr = run(["solve", "--problem", "ex1", "--n", "8", "--lambda", "1e-3",
+                                "--out", str(tmp_path / "sol.json")], capsys)
+    assert (code, stdout, stderr.splitlines()) == (1, "", ["error: " + cause.format(1499.0)])
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run(["sweep", "--problem", "ex1", "--n", "4:2:8", "--lambda", "1e-3",
+                                "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr.splitlines() == [f"n={n} failed: " + cause.format(1499.0) for n in (4, 6, 8)] + [
+        "error: ex1: failed at n = 4, 6, 8; their rows are left out"]
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(CONFIG.replace("gamma = 1", "gamma = 2000"))
+    code, stdout, stderr = run(["solve", "--problem", str(cfg), "--n", "4",
+                                "--out", str(tmp_path / "steep.json")], capsys)
+    assert (code, stdout, stderr.splitlines()) == (1, "", ["error: " + cause.format(1999.5)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["steep.cfg"]
+
+
+def test_a_config_saved_with_a_byte_order_mark_solves_as_the_plain_file(tmp_path, capsys):
+    outputs = []
+    for folder, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        (tmp_path / folder).mkdir()
+        cfg = tmp_path / folder / "quarter_power.cfg"
+        cfg.write_text(QUARTER_POWER, encoding=encoding)
+        out = tmp_path / folder / "sol.json"
+        code, stdout, _ = run(["solve", "--problem", str(cfg), "--n", "8", "--lambda", "0.25",
+                               "--out", str(out)], capsys)
+        assert code == 0
+        outputs.append((stdout, out.read_bytes()))
+    assert (tmp_path / "bom" / "quarter_power.cfg").read_bytes().startswith(codecs.BOM_UTF8)
+    assert outputs[0] == outputs[1] and outputs[0][0].startswith("n=8 ")
 
 
 def test_a_reference_too_large_to_allocate_is_an_error_line():

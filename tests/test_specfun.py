@@ -171,6 +171,16 @@ def test_gauss_jacobi_rejects_bad_parameters(alpha, beta_):
         gauss_jacobi(4, alpha, beta_)
 
 
+@pytest.mark.parametrize("alpha,beta_", [(-0.5, 1499.0), (1100.0, 0.0)])
+def test_gauss_jacobi_names_parameters_whose_moment_overflows(alpha, beta_):
+    # the zeroth moment 2^(a+b+1) B(a+1, b+1) exceeds a double once beta
+    # is about 1030 at alpha = -1/2; just below, the rule is still formed
+    with pytest.raises(ValueError, match=f"exceeds a double at alpha = {alpha}, beta = {beta_}"):
+        gauss_jacobi(4, alpha, beta_)
+    nodes, weights = gauss_jacobi(4, -0.5, 1000.0)
+    assert np.all(np.isfinite(nodes)) and np.all(weights > 0) and np.all(np.isfinite(weights))
+
+
 def test_gauss_jacobi_nodes_are_jacobi_zeros():
     for n, alpha, beta_ in [(5, -0.5, -0.5), (12, 0.0, 1.5), (20, -0.9, -0.3)]:
         nodes, _ = gauss_jacobi(n, alpha, beta_)
