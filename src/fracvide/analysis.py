@@ -3,11 +3,12 @@
 Errors are reported in the sup norm over the error grid and the
 collocation nodes and in the weighted L2 norm with the collocation weight
 (exponents alpha_c, beta_c, plain variable), for both the solution
-interpolant and the separate derivative interpolant. Each pair of
-functions measured together (the interpolants phi_N and phi*_N, a
-self-reference's phi and phi', a sweep's truth) is evaluated once per point
-set and keeps its values on the latest three sets, found by value. One
-report visits three: the error rule, the error grid and the degree's
+interpolant and the separate derivative interpolant. A report
+interpolates phi_N and phi*_N together, once on each of its two point
+sets, the error rule and the error grid. The truth (a self-reference's
+phi and phi', a sweep's truth) is a pair of functions evaluated once per
+point set that keeps its values on the latest three sets, found by value.
+One report visits three: the error rule, the error grid and the degree's
 nodes. Every degree of a sweep shares the grid and, up to N = 49 or under
 a fixed rule size, the rule, so a sweep evaluates the truth once on each of
 them and at each degree only on that degree's nodes. A sweep labels the
@@ -89,23 +90,32 @@ def error_report(sol, exact_phi, exact_phi_prime, quad_points=None):
     default_quad_points(N), with the collocation weight the system was
     assembled with. Each sup norm is the larger of two maxima: over the
     fixed fracbasis.ERROR_GRID, and over the collocation nodes, where phi_N
-    and phi*_N are u and u* exactly. So the solution is interpolated on the
-    rule and the grid only, phi_N and phi*_N together from one basis
-    evaluation per point set (_kept_pair), and the truth is evaluated on
-    the rule, the grid and the nodes, once each when phi and phi' share a
-    kept pair too, as a self-reference and a sweep's truth do.
+    and phi*_N are u and u* exactly. So the solution is interpolated on
+    two point sets only, the rule and the grid, and once on each: phi_N and
+    phi*_N together, from one basis evaluation that the norms of e and e*
+    share. The truth is evaluated on the rule, the grid and the nodes,
+    before the solution on each, and once per set when phi and phi' share
+    a kept pair (_kept_pair), as a self-reference and a sweep's truth do.
     """
     system = sol.system
     if quad_points is None:
         quad_points = default_quad_points(system.n)
     basis, coeffs = system.basis, np.stack([sol.u, sol.u_star])
-    phi_n, phi_star_n = _kept_pair(lambda theta: interpolate(basis, coeffs, theta))
-    e = lambda theta: exact_phi(theta) - phi_n(theta)
-    estar = lambda theta: exact_phi_prime(theta) - phi_star_n(theta)
-    # e and e* in turn on each point set, so that they share its barycentric terms
-    l2_e = weighted_l2_norm(e, system.alpha_c, system.beta_c, 1.0, quad_points)
-    l2_estar = weighted_l2_norm(estar, system.alpha_c, system.beta_c, 1.0, quad_points)
-    grid_e, grid_estar = sup_norm(e, ERROR_GRID), sup_norm(estar, ERROR_GRID)
+
+    def norms(norm, *args):
+        """norm(e, *args) and norm(e*, *args): both calls pass the same
+        points, and e interpolates the solution there for both."""
+        interpolants = []
+
+        def e(theta):
+            phi = exact_phi(theta)
+            interpolants.extend(interpolate(basis, coeffs, theta))
+            return phi - interpolants[0]
+
+        return norm(e, *args), norm(lambda theta: exact_phi_prime(theta) - interpolants[1], *args)
+
+    l2_e, l2_estar = norms(weighted_l2_norm, system.alpha_c, system.beta_c, 1.0, quad_points)
+    grid_e, grid_estar = norms(sup_norm, ERROR_GRID)
     nodes = basis.nodes
     nodes_e = sup_norm(lambda theta: exact_phi(theta) - sol.u, nodes)
     nodes_estar = sup_norm(lambda theta: exact_phi_prime(theta) - sol.u_star, nodes)
@@ -121,7 +131,9 @@ def _kept_pair(both):
 
     A point set is found by value, so an array changed in place is a new
     set; the latest used is kept longest. The kept values are read-only,
-    since each call on those points hands out the same arrays.
+    since each call on those points hands out the same arrays. It serves
+    the truth of a sweep and a self-reference's phi and phi'; an error
+    report knows its point sets and interpolates its solution directly.
     """
     kept = []                                 # (points, pair), latest used last
 
@@ -150,11 +162,15 @@ class ReferenceSolution:
     lam: float
     n_ref: int
 
-    def check_comparable(self, n):
-        if n > self.n_ref - REFERENCE_GAP:
-            raise ValueError(
-                f"reference at n_ref={self.n_ref} is too close to n={n} "
-                f"(need n <= n_ref - {REFERENCE_GAP})")
+
+def check_reference_gap(n_ref, n_values):
+    """Raise ValueError naming the first n of n_values that a reference of
+    degree n_ref does not exceed by REFERENCE_GAP; callable before the
+    reference is solved."""
+    for n in n_values:
+        if n > n_ref - REFERENCE_GAP:
+            raise ValueError(f"reference at n_ref={n_ref} is too close to n={n} "
+                             f"(need n <= n_ref - {REFERENCE_GAP})")
 
 
 def self_reference(spec, lambda_ref, n_ref, alpha_c=-0.5, beta_c=-0.5):
@@ -226,8 +242,7 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
         raise ValueError("n_values must be strictly ascending")
     tp = transform(spec)
     if reference is not None:
-        for n in n_values:
-            reference.check_comparable(n)
+        check_reference_gap(reference.n_ref, n_values)
         truth = reference.phi, reference.phi_prime
     elif tp.phi is not None and tp.phi_prime is not None:
         truth = tp.phi, tp.phi_prime

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .analysis import emit_table, error_report, self_reference, sweep, sweep_filename
+from .analysis import (check_reference_gap, emit_table, error_report, self_reference, sweep,
+                       sweep_filename)
 from .collocate import assemble, solve
 from .problem import BUILTIN_NAMES, builtin, load_problem, transform
 from .refdata import BENCHMARKS
@@ -154,6 +155,7 @@ def run_sweep(args):
     n_values = _parse_n_range(args.n)
     reference = None
     if spec.exact is None:
+        check_reference_gap(args.ref_n, n_values)    # before the reference is solved
         print(f"no exact solution; solving reference (lambda={args.ref_lambda:g}, "
               f"n={args.ref_n})", file=sys.stderr)
         reference = self_reference(spec, args.ref_lambda, args.ref_n, args.alpha, args.beta)

@@ -84,7 +84,10 @@ class CollocationSystem:
 def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5):
     """Assemble the collocation system for the transformed problem tp.
 
-    build_basis rejects a negative n and then a lam outside (0, 1]."""
+    build_basis rejects a negative n and then a lam outside (0, 1]; a lam
+    so small that the smallest node theta_0 = z_0**(1/lam) underflows to 0
+    is rejected after the rules are built and before any coefficient is
+    sampled."""
     mu, gam, eps = tp.mu, tp.gamma, tp.eps
 
     basis = build_basis(n, alpha_c, beta_c, lam)
@@ -95,6 +98,9 @@ def assemble(tp, n, lam, alpha_c=-0.5, beta_c=-0.5):
     s = xi ** (1.0 / lam)            # eta_i(xi) = theta_i * s
     ratio = singular_ratio(xi, lam, mu)
 
+    if theta[0] == 0.0:
+        raise ValueError(f"lam = {lam:g} is too small for n = {n}: the smallest collocation "
+                         f"node theta_0 = z_0^(1/lam) underflows to 0")
     col = theta[:, None]
     eta = col * s
     # a sample that overflows or divides by zero is reported by _samples

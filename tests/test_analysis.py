@@ -342,6 +342,25 @@ def test_error_report_evaluates_the_basis_once_per_point_set(monkeypatch):
         (n, size) for n in ns for size in (200, fracbasis.ERROR_GRID.size)]
 
 
+def test_no_node_search_away_from_the_nodes(monkeypatch):
+    # assembly's points and the error rule and grid lie near no node, so
+    # fracbasis._node_hits is never called; a point set with nodes in it
+    # is searched and still gets their Kronecker rows
+    tp = transform(builtin("ex1"))
+    assemble(tp, 10, 0.5)        # warm: the rules, the basis and E are kept
+    calls = []
+    hits = fracbasis._node_hits
+    monkeypatch.setattr(fracbasis, "_node_hits",
+                        lambda basis, z: calls.append(np.size(z)) or hits(basis, z))
+    sol = solve(assemble(tp, 10, 0.5))
+    error_report(sol, tp.phi, tp.phi_prime)
+    assert calls == []
+    b = sol.system.basis
+    rows = fracbasis.basis_matrix(b, np.array([0.3, b.nodes[2], b.nodes[7]]))
+    assert calls == [3]
+    assert rows[1:].tolist() == np.eye(11)[[2, 7]].tolist()
+
+
 def test_error_report_peak_memory():
     # ex1 at N = 256 with an 800-point rule peaks at 2.80 MB under
     # tracemalloc: the barycentric terms on the 1257-point grid (2.6 MB),

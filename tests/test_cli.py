@@ -356,6 +356,27 @@ def test_sweep_where_every_degree_fails_names_the_cause(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_sweep_rejects_a_range_too_close_to_the_reference_before_solving_it(capsys, monkeypatch):
+    import fracvide.cli as cli
+
+    solved = []
+    monkeypatch.setattr(cli, "self_reference", lambda *args: solved.append(args))
+    code, stdout, stderr = run(["sweep", "--problem", "ex4", "--n", "2:1:16"], capsys)
+    assert code == 1 and stdout == "" and solved == []
+    assert stderr.splitlines() == [
+        "error: reference at n_ref=18 is too close to n=16 (need n <= n_ref - 3)"]
+
+
+def test_solve_names_lambda_and_n_when_the_smallest_node_underflows(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    code, _, stderr = run(["solve", "--problem", "ex1", "--n", "8", "--lambda", "2e-3",
+                           "--out", str(out)], capsys)
+    assert code == 1 and not out.exists()
+    assert stderr.splitlines() == [
+        "error: lam = 0.002 is too small for n = 8: the smallest collocation node "
+        "theta_0 = z_0^(1/lam) underflows to 0"]
+
+
 @pytest.mark.parametrize("command", [["solve", "--n", "4"], ["sweep", "--n", "4:2:8"],
                                      ["reproduce"]])
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -402,8 +402,10 @@ def test_problems_at_one_discretization_share_one_read_only_E(lam):
 
 
 def test_assemble_rejects_underflowed_node():
-    # lam = 0.01 maps the smallest node to theta = 0, where p1 = T t^-1 p(t) is 0/0
-    with pytest.raises(ValueError, match=r"coefficient p is not finite at collocation node 0 \(theta = 0\)"):
+    # lam = 0.01 maps the smallest node to theta = 0, where p1 = T t^-1 p(t)
+    # would be 0/0; the node is rejected before any coefficient is sampled
+    with pytest.raises(ValueError, match=r"lam = 0.01 is too small for n = 48: the smallest "
+                                         r"collocation node .* underflows to 0"):
         assemble(transform(builtin("ex1")), 48, 0.01)
 
 

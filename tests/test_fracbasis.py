@@ -319,6 +319,50 @@ def test_basis_quadrature_blocks_give_the_bits_of_one_block(monkeypatch, work_en
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def _planted_points(b):
+    """Points on the nodes, 1 and 4 ulps off them, and 0.5e-15 to 3e-15 off
+    them in z, on both sides of the hit tolerance 1e-15 and the 2e-15
+    window of the search test."""
+    steps = [1.0, 4.0, -1.0, -4.0]
+    offsets = np.array([0.5e-15, 1e-15, 2e-15, 3e-15])
+    z = b.z_nodes[:, None] + np.concatenate([offsets, -offsets])
+    return np.concatenate([b.nodes] + [b.nodes + k * np.spacing(b.nodes) for k in steps]
+                          + [np.ravel(z if b.lam == 1.0 else z ** (1.0 / b.lam))])
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.3])
+def test_node_search_shortcut_gives_the_bits_of_the_full_search(monkeypatch, lam):
+    b = build_basis(12, -0.5, -0.5, lam)
+    rng = np.random.default_rng(29)
+    far = rng.uniform(0.0, 1.0, 300)
+    planted = _planted_points(b)
+    mixed = rng.permutation(np.concatenate([far, planted]))
+    z = lambda theta: theta ** lam if lam != 1.0 else theta
+    # the planted points include hits and near misses; the random ones are
+    # near no node, so the search is skipped on them
+    hits = fracbasis._node_hits(b, z(planted))
+    assert (hits >= 0).sum() >= 5 * (b.n + 1) and (hits < 0).any()
+    assert not fracbasis._near_nodes(b, z(far))
+    values = np.stack([np.cos(3.0 * b.nodes), np.exp(-b.nodes)])
+    rows = mixed[:-(mixed.size % 7) or None].reshape(-1, 7)
+    weights = rng.normal(size=(2,) + rows.shape)
+
+    def evaluations():
+        out = [interpolate(b, values, mixed), basis_matrix(b, mixed),
+               basis_matrix(b, far), basis_quadrature(b, rows, weights)]
+        for theta in planted:   # each point alone, so that no other point is near a node
+            out += [interpolate(b, values, np.array([theta])),
+                    basis_matrix(b, theta), basis_quadrature(b, [[theta]], [[1.0]])]
+        return out
+
+    shortcut = evaluations()
+    monkeypatch.setattr(fracbasis, "_near_nodes", lambda basis, z: True)
+    full = evaluations()
+    assert len(shortcut) == len(full)
+    for got, want in zip(shortcut, full):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_warm_assembly_peak_memory():
     # a warm ex1 assemble at N = 256 peaked at 5.36 MB under tracemalloc
     # with 512 KB blocks (one row), and at 5.99 MB with 2 MB blocks (three
