@@ -24,7 +24,6 @@ from .fracbasis import (
     FractionalBasis,
     basis_matrix,
     build_basis,
-    eval_basis,
     interpolate,
     lebesgue_constant,
     sup_norm,

@@ -5,13 +5,12 @@ collocation nodes and in the weighted L2 norm with the collocation weight
 (exponents alpha_c, beta_c, plain variable), for both the solution
 interpolant and the separate derivative interpolant. A report
 interpolates phi_N and phi*_N together, once on each of its two point
-sets, the error rule and the error grid. The truth (a self-reference's
-phi and phi', a sweep's truth) is a pair of functions evaluated once per
-point set that keeps its values on the latest three sets, found by value.
-One report visits three: the error rule, the error grid and the degree's
-nodes. Every degree of a sweep shares the grid and, up to N = 49 or under
-a fixed rule size, the rule, so a sweep evaluates the truth once on each of
-them and at each degree only on that degree's nodes. A sweep labels the
+sets, the error rule and the error grid. A sweep evaluates the truth
+(phi and phi', exact or a self-reference) once per point set: it keeps
+their values for the whole sweep in one dict keyed by the points' bits.
+Every degree shares the grid and, up to N = 49 or under a fixed rule
+size, the rule, so after the first degree the truth is evaluated only on
+each degree's nodes and on any new rule. A sweep labels the
 decay exponential or algebraic by comparing linear fits of log(err)
 against N and against log N; the better fit wins provided its R^2 is
 within 0.02 of a perfect fit, otherwise the result is inconclusive.
@@ -34,9 +33,6 @@ NOISE_FLOOR = 1e-11
 # max |phi'| on the error grid) is round-off
 ROUND_OFF = 100 * np.finfo(float).eps
 REFERENCE_GAP = 3  # a reference must exceed every compared N by at least this
-# point sets whose values a kept pair holds: one report visits three, the
-# error rule, ERROR_GRID and the degree's nodes
-KEPT_POINT_SETS = 3
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,8 @@ def error_report(sol, exact_phi, exact_phi_prime, quad_points=None):
     two point sets only, the rule and the grid, and once on each: phi_N and
     phi*_N together, from one basis evaluation that the norms of e and e*
     share. The truth is evaluated on the rule, the grid and the nodes,
-    before the solution on each, and once per set when phi and phi' share
-    a kept pair (_kept_pair), as a self-reference and a sweep's truth do.
+    phi before phi' on each; a sweep's truth keeps its values per point
+    set, so there it is evaluated once per set.
     """
     system = sol.system
     if quad_points is None:
@@ -125,34 +121,6 @@ def error_report(sol, exact_phi, exact_phi_prime, quad_points=None):
                        linf_estar=float(np.maximum(grid_estar, nodes_estar)))
 
 
-def _kept_pair(both):
-    """The two functions of both(theta) = (f(theta), g(theta)), which keep
-    the pairs of the latest KEPT_POINT_SETS point sets.
-
-    A point set is found by value, so an array changed in place is a new
-    set; the latest used is kept longest. The kept values are read-only,
-    since each call on those points hands out the same arrays. It serves
-    the truth of a sweep and a self-reference's phi and phi'; an error
-    report knows its point sets and interpolates its solution directly.
-    """
-    kept = []                                 # (points, pair), latest used last
-
-    def pair(theta):
-        for i, (points, values) in enumerate(kept):
-            if np.array_equal(points, theta):
-                kept.append(kept.pop(i))
-                return values
-        values = tuple(both(theta))
-        for v in values:
-            if isinstance(v, np.ndarray):
-                v.flags.writeable = False
-        kept.append((np.array(theta), values))
-        del kept[:-KEPT_POINT_SETS]
-        return values
-
-    return (lambda theta: pair(theta)[0]), (lambda theta: pair(theta)[1])
-
-
 @dataclass(frozen=True)
 class ReferenceSolution:
     """High-resolution solve standing in for an unknown exact solution."""
@@ -177,15 +145,13 @@ def self_reference(spec, lambda_ref, n_ref, alpha_c=-0.5, beta_c=-0.5):
     """Solve once at (lambda_ref, n_ref) and wrap the result as a surrogate
     exact solution for problems without a closed form.
 
-    phi and phi_prime give sol.evaluate and sol.evaluate_derivative bit for
-    bit; they are the kept pair (_kept_pair) of one basis evaluation per
-    point set, so an error report taking both on the same points evaluates
-    the reference basis once.
+    phi and phi_prime are sol.evaluate and sol.evaluate_derivative, which
+    evaluate the reference basis on each call; a sweep keeps their values
+    per point set.
     """
     sol = solve(assemble(transform(spec), n_ref, lambda_ref, alpha_c, beta_c))
-    basis, coeffs = sol.system.basis, np.stack([sol.u, sol.u_star])
-    phi, phi_prime = _kept_pair(lambda theta: interpolate(basis, coeffs, theta))
-    return ReferenceSolution(phi=phi, phi_prime=phi_prime, lam=lambda_ref, n_ref=n_ref)
+    return ReferenceSolution(phi=sol.evaluate, phi_prime=sol.evaluate_derivative,
+                             lam=lambda_ref, n_ref=n_ref)
 
 
 def classify_decay(ns, errs, floor=0.0):
@@ -229,10 +195,13 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
     """Solve over an ascending N grid and classify the L2 error decay.
 
     Uses spec.exact (transformed) as truth, or the supplied
-    ReferenceSolution, either wrapped in one kept pair (_kept_pair): the
-    degrees share the error grid and, while their rule size is the same,
-    the error rule, so the truth is evaluated there once per sweep and on
-    each degree's nodes once. One failing degree is recorded and skipped.
+    ReferenceSolution. The reports look the truth up in one dict that
+    lives for this call, keyed by the exact bits of each point set and
+    holding the read-only (phi, phi') there, so the truth is evaluated
+    once per distinct point set: the error grid, each rule size and each
+    degree's nodes. The dict keeps every set until the sweep returns:
+    161,862 points (3.9 MB of points and values) for N = 2..256 with the
+    default rules. One failing degree is recorded and skipped.
     quad_points fixes the error-norm rule size; by default it grows with N
     (default_quad_points). Cells at or below the round-off floors
     (SweepResult.floor_e, floor_estar) are left out of the fit.
@@ -249,7 +218,18 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
     else:
         raise ValueError(f"problem {spec.name!r} has no exact solution; supply a reference")
 
-    phi, phi_prime = _kept_pair(lambda theta: (truth[0](theta), truth[1](theta)))
+    values = {}    # (shape, bytes) of a point set -> read-only (phi, phi') there
+
+    def truth_at(theta):
+        key = theta.shape, theta.tobytes()
+        if key not in values:
+            values[key] = tuple(f(theta) for f in truth)
+            for v in values[key]:
+                if isinstance(v, np.ndarray):
+                    v.flags.writeable = False
+        return values[key]
+
+    phi, phi_prime = (lambda theta: truth_at(theta)[0]), (lambda theta: truth_at(theta)[1])
     rows, failures = [], []
     for n in n_values:
         try:
@@ -257,10 +237,10 @@ def sweep(spec, lam, n_values, alpha_c=-0.5, beta_c=-0.5, reference=None, quad_p
             rows.append(error_report(sol, phi, phi_prime, quad_points))
         except (ValueError, RuntimeError) as err:
             failures.append((n, str(err)))
-    # ROUND_OFF times the largest finite |phi| and |phi'| on the grid, where
-    # the last report left the truth kept
-    floor_e, floor_estar = ((ROUND_OFF * float(np.fmax.reduce(np.abs(np.ravel(f(ERROR_GRID)))))
-                             for f in (phi, phi_prime)) if rows else (0.0, 0.0))
+    # ROUND_OFF times the largest finite |phi| and |phi'| on the grid, which
+    # every report visited
+    floor_e, floor_estar = ((ROUND_OFF * float(np.fmax.reduce(np.abs(np.ravel(v))))
+                             for v in truth_at(ERROR_GRID)) if rows else (0.0, 0.0))
     label, rate = classify_decay([r.n for r in rows], [r.l2_e for r in rows], floor_e)
     return SweepResult(problem=spec.name, lam=float(lam), rows=tuple(rows),
                        rate_class=label, fitted_rate=rate, failures=tuple(failures),

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exprlang import ExprEvalError
 from .fracbasis import (basis_matrix, basis_quadrature, build_basis, interpolate,
                         sample_values)
 from .problem import kernel_samples
@@ -148,13 +149,23 @@ def _samples(name, theta, sample, f, *points):
     Raises ValueError naming the coefficient when f cannot take arrays (it
     raises TypeError or a plain ValueError on them, as scalar code that
     tests an array's truth does), or naming it and the first node where a
-    sample is not finite. A subclass of ValueError, such as a config
-    expression's domain error, says what went wrong itself and passes
-    unchanged.
+    sample is not finite. A config expression's domain error keeps its
+    type and text, prefixed with the coefficient and the node where it
+    arises, which is found by sampling row by row, after the failure only.
+    Any other subclass of ValueError says what went wrong itself and
+    passes unchanged.
     """
     try:
         samples = sample(f, *points)
     except (TypeError, ValueError) as err:
+        if isinstance(err, ExprEvalError):
+            for i in range(len(theta)):
+                try:
+                    sample(f, *(p[i] for p in points))
+                except ExprEvalError as row_err:
+                    if str(row_err) == str(err):
+                        raise type(err)(f"coefficient {name} at collocation node {i} "
+                                        f"(theta = {theta[i]:.17g}): {err}") from err
         if isinstance(err, ValueError) and type(err) is not ValueError:
             raise
         raise ValueError(f"coefficient {name} must take numpy arrays and evaluate "
@@ -203,18 +214,22 @@ def solve(system):
     """Eliminate u and v and solve the dense system for u* by LU.
 
     Raises SolverError when the matrix is numerically singular or the
-    solve residual exceeds 1e-12 * (max|rhs| + 1).
+    solve residual is not finite or exceeds 1e-12 * (max|rhs| + 1).
     """
     size = system.n + 1
-    M = system.C + system.D
-    A = np.eye(size) - (system.P[:, None] * system.E + M @ system.E) \
-        - system.Q[:, None] * system.H
-    rhs = system.U0 * (system.P + system.Q + M @ np.ones(size)) + system.G
-    try:
-        u_star = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"singular collocation matrix (n={system.n}, lam={system.lam}): {err}") from None
-    residual = float(np.max(np.abs(A @ u_star - rhs)))
+    # data so large that a product overflows give a residual that is not
+    # finite, which is reported below, so numpy's warning is left out
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = system.C + system.D
+        A = np.eye(size) - (system.P[:, None] * system.E + M @ system.E) \
+            - system.Q[:, None] * system.H
+        rhs = system.U0 * (system.P + system.Q + M @ np.ones(size)) + system.G
+        try:
+            u_star = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"singular collocation matrix (n={system.n}, "
+                              f"lam={system.lam}): {err}") from None
+        residual = float(np.max(np.abs(A @ u_star - rhs)))
     if not np.isfinite(residual) or residual > 1e-12 * (float(np.max(np.abs(rhs))) + 1.0):
         raise SolverError(
             f"solve residual {residual:.3e} too large (n={system.n}, lam={system.lam})")

